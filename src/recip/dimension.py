@@ -282,14 +282,31 @@ def monoid_to_json(M: LexMonoid) -> dict:
     return out
 
 
+def _is_int_list(value) -> bool:
+    return isinstance(value, list) and all(type(v) is int for v in value)
+
+
 def monoid_from_json(obj: dict) -> LexMonoid:
-    rank = obj["rank"]
-    generators = tuple(tuple(g) for g in obj.get("generators", ()))
-    families = tuple(
-        ShiftFamily(tuple(f["base"]), frozenset(c - 1 for c in f["free"]))
-        for f in obj.get("families", ())
+    """Read the form written by ``monoid_to_json``; ValueError on any other shape."""
+    if not isinstance(obj, dict) or not {"rank", "generators", "families"} <= obj.keys():
+        raise ValueError('monoid JSON must be an object with "rank", "generators" and "families"')
+    rank, generators, families = obj["rank"], obj["generators"], obj["families"]
+    if type(rank) is not int or rank < 1:
+        raise ValueError("monoid rank must be a positive integer")
+    if not isinstance(generators, list) or not all(map(_is_int_list, generators)):
+        raise ValueError("monoid generators must be a list of integer lists")
+    if not isinstance(families, list) or not all(
+        isinstance(f, dict) and _is_int_list(f.get("base")) and _is_int_list(f.get("free"))
+        for f in families
+    ):
+        raise ValueError('monoid families must be a list of objects with integer lists "base" and "free"')
+    return LexMonoid(
+        rank=rank,
+        generators=tuple(tuple(g) for g in generators),
+        families=tuple(
+            ShiftFamily(tuple(f["base"]), frozenset(c - 1 for c in f["free"])) for f in families
+        ),
     )
-    return LexMonoid(rank=rank, generators=generators, families=families)
 
 
 def report_to_json(report: DimensionReport) -> dict:

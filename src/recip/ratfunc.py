@@ -1,12 +1,18 @@
 """Exact rational functions of Laurent polynomials, reciprocal sums, and the
 exponent-negation automorphism.
 
-Rank-1 fractions are kept canonical: common monomial factor extracted, the
-polynomial pair gcd-reduced, and the denominator scaled to coprime integer
-coefficients with positive leading (lex-max) coefficient.  Higher ranks skip
-the gcd (multivariate gcd is out of scope); they get the same monomial and
-scale normalization, and equality is decided by cross-multiplication, which
-is valid in every rank.
+Every fraction leaves ``RationalFunction`` with the common monomial taken
+out and the denominator scaled to coprime integer coefficients with a
+positive leading (lex-max) coefficient.  A rank-1 fraction is also reduced
+to lowest terms, so it has exactly one such form.  The gcd that does this
+runs in one place, the public constructor (and so in ``+`` and ``*``), and
+only when both sides still have two or more terms: a one-term side X^k has
+no common factor with a side that X does not divide.  Negation, ``inverse``,
+integer powers and ``sigma_map`` start from a reduced pair and call no gcd:
+the units of the Laurent ring are the monomials, and these maps keep a
+coprime pair coprime, so taking out the monomial and rescaling is enough.
+Higher ranks skip the gcd (multivariate gcd is out of scope); equality is
+decided by cross-multiplication, which is valid in every rank.
 """
 
 from __future__ import annotations
@@ -46,21 +52,20 @@ class RationalFunction:
             raise ValueError("numerator and denominator rank mismatch")
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        if num.is_zero():
-            self.num = LaurentPolynomial.zero(num.rank)
-            self.den = LaurentPolynomial.one(num.rank)
-            return
         num, den = _extract_common_monomial(num, den)
-        if num.rank == 1:
+        if num.rank == 1 and len(num) > 1 and len(den) > 1:
             g = poly_gcd(num, den)
             if not g.is_constant():
                 num = poly_divexact(num, g)
                 den = poly_divexact(den, g)
-        scale = den.content()
-        if den.coeff(den.lex_max_exponent()) < 0:
-            scale = -scale
-        self.num = num.scale(1 / scale)
-        self.den = den.scale(1 / scale)
+        self.num, self.den = _primitive(num, den)
+
+    @classmethod
+    def _coprime(cls, num: LaurentPolynomial, den: LaurentPolynomial) -> "RationalFunction":
+        """num/den for a pair with no common factor but monomials: no gcd."""
+        r = object.__new__(cls)
+        r.num, r.den = _primitive(*_extract_common_monomial(num, den))
+        return r
 
     # -- constructors ---------------------------------------------------
 
@@ -123,7 +128,7 @@ class RationalFunction:
     __radd__ = __add__
 
     def __neg__(self) -> "RationalFunction":
-        return RationalFunction(-self.num, self.den)
+        return RationalFunction._coprime(-self.num, self.den)
 
     def __sub__(self, other) -> "RationalFunction":
         other = self._coerce(other)
@@ -148,7 +153,7 @@ class RationalFunction:
     def inverse(self) -> "RationalFunction":
         if self.num.is_zero():
             raise ZeroDivisionError("zero has no inverse")
-        return RationalFunction(self.den, self.num)
+        return RationalFunction._coprime(self.den, self.num)
 
     def __truediv__(self, other) -> "RationalFunction":
         other = self._coerce(other)
@@ -167,7 +172,7 @@ class RationalFunction:
             raise ValueError("rational function powers must be integers")
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        return RationalFunction(self.num**exponent, self.den**exponent)
+        return RationalFunction._coprime(self.num**exponent, self.den**exponent)
 
     # -- comparisons --------------------------------------------------------
 
@@ -193,25 +198,26 @@ def _extract_common_monomial(
 
     Afterwards all exponents are componentwise nonnegative and for each pair
     of coordinatewise minima at least one is zero; rank-1 pairs become true
-    polynomials not both divisible by X.
+    polynomials not both divisible by X.  A zero numerator gets denominator 1.
     """
-
-    def floor_exponent(poly: LaurentPolynomial) -> tuple[int, ...]:
-        mins = None
-        for exponent in poly.support():
-            if mins is None:
-                mins = list(exponent)
-            else:
-                mins = [min(a, b) for a, b in zip(mins, exponent)]
-        return tuple(mins)
-
-    vnum = floor_exponent(num)
-    vden = floor_exponent(den)
-    common = tuple(-min(a, b) for a, b in zip(vnum, vden))
+    if num.is_zero():
+        return num, LaurentPolynomial.one(num.rank)
+    common = tuple(-min(column) for column in zip(*num.support(), *den.support()))
     if any(common):
         num = num.shift(common)
         den = den.shift(common)
     return num, den
+
+
+def _primitive(
+    num: LaurentPolynomial, den: LaurentPolynomial
+) -> tuple[LaurentPolynomial, LaurentPolynomial]:
+    """Scale both sides so that den has coprime integer coefficients and a
+    positive lex-max coefficient."""
+    scale = den.content()
+    if den.coeff(den.lex_max_exponent()) < 0:
+        scale = -scale
+    return num.scale(1 / scale), den.scale(1 / scale)
 
 
 def format_ratfunc(r: RationalFunction, names: tuple[str, ...] = ("X",)) -> str:
@@ -272,15 +278,14 @@ def normalize_reciprocal_sum(
 
 def sigma_map(r: RationalFunction) -> RationalFunction:
     """The field automorphism sending X^g to X^-g, applied term by term."""
-    return RationalFunction(r.num.sigma(), r.den.sigma())
+    return RationalFunction._coprime(r.num.sigma(), r.den.sigma())
 
 
 def sigma_of_reciprocal(f: LaurentPolynomial) -> RationalFunction:
-    """sigma(1/f) written with the lex-max support element cleared.
+    """sigma(1/f) for f with lex-nonnegative support.
 
-    For f = sum u_i X^(s_i) with lex-nonnegative support this is
-    X^s / sum u_i X^(s - s_i) where s is the lex-max element of the support.
-    The result equals sigma_map(1/f).
+    For f = sum u_i X^(s_i) this is X^s / sum u_i X^(s - s_i), where s is
+    the lex-max element of the support.
     """
     if f.is_zero():
         raise ValueError("zero has no reciprocal")
@@ -288,13 +293,7 @@ def sigma_of_reciprocal(f: LaurentPolynomial) -> RationalFunction:
     for exponent in f.support():
         if exponent < origin:
             raise ValueError("support must be lex-nonnegative")
-    s = f.lex_max_exponent()
-    num = LaurentPolynomial.monomial(f.rank, s)
-    den = LaurentPolynomial(
-        f.rank,
-        [(tuple(a - b for a, b in zip(s, e)), c) for e, c in f.terms()],
-    )
-    return RationalFunction(num, den)
+    return sigma_map(RationalFunction(LaurentPolynomial.one(f.rank), f))
 
 
 def geometric_product(phi: LaurentPolynomial, u: Scalar, e: int) -> LaurentPolynomial:

@@ -78,34 +78,26 @@ def ns_create(gens: Iterable[int]) -> NumericalSemigroup:
         member = any(g <= n and table[n - g] for g in gens)
         table.append(member)
         run = run + 1 if member else 0
-    # Everything from n - run + 1 on is a member (add multiples of the
-    # multiplicity); the largest gap therefore appeared before it.
-    conductor = 0
-    for k in range(n, -1, -1):
-        if not table[k]:
-            conductor = k + 1
-            break
-    frobenius = conductor - 1 if conductor > 0 else -1
+    # The loop stops after the first run of `multiplicity` consecutive
+    # members; adding multiples of the multiplicity, everything from its
+    # start on is a member, and the integer just before it is the largest gap.
+    conductor = n - multiplicity + 1
     gaps = tuple(k for k in range(1, conductor) if not table[k])
 
     def is_member(k: int) -> bool:
-        return k >= conductor or (0 <= k <= n and table[k])
+        return k >= conductor or table[k]
 
-    minimal = []
+    # A sum of two nonzero members is a minimal generator plus a nonzero
+    # member, so each candidate is tested against the generators found so far.
+    minimal: list[int] = []
     for candidate in range(1, conductor + multiplicity + 1):
-        if not is_member(candidate):
-            continue
-        decomposable = any(
-            is_member(s) and is_member(candidate - s)
-            for s in range(1, candidate)
-        )
-        if not decomposable:
+        if is_member(candidate) and not any(is_member(candidate - g) for g in minimal):
             minimal.append(candidate)
 
     return NumericalSemigroup(
         generators=tuple(minimal),
         gaps=gaps,
-        frobenius=frobenius,
+        frobenius=conductor - 1,
         conductor=conductor,
         table=tuple(table[:conductor]),
     )

@@ -58,6 +58,15 @@ def test_recip_member():
     assert payload == {"status": "NotMember", "obstruction": "PoleAtOrigin"}
 
 
+def test_sparse_monomial_stays_sparse():
+    # A one-term side never goes through the dense gcd, so a huge exponent
+    # costs no memory.
+    code, out, _ = run_cli("member", "--gens", "4,7,9", "--expr", "X^100000000")
+    assert (code, out) == (0, '{"status":"Member","certificate":"1"}\n')
+    code, out, _ = run_cli("recip-member", "--gens", "4,7,9", "--expr", "X^100000000")
+    assert (code, out) == (0, '{"status":"NotMember","obstruction":"PoleAtOrigin"}\n')
+
+
 def test_valuation():
     assert run_json("valuation", "--rank", "2", "--expr", "X^(2,3)") == {"valuation": [2, 3]}
     assert run_json("valuation", "--expr", "0") == {"valuation": "infinity"}
@@ -94,6 +103,25 @@ def test_dimension_from_file(tmp_path):
     payload = run_json("dimension", "--file", str(path))
     assert payload["si"] == [True, False]
     assert payload["exact"] == 1
+
+
+def test_dimension_rejects_malformed_monoid_json():
+    for monoid in (
+        "[1]",
+        '{"rank":"2"}',
+        '{"rank":0}',
+        '{"rank":0,"generators":[],"families":[]}',
+        '{"rank":true,"generators":[],"families":[]}',
+        '{"rank":2,"families":[]}',
+        '{"rank":2,"generators":[1,0],"families":[]}',
+        '{"rank":2,"generators":[[1,0.5]],"families":[]}',
+        '{"rank":2,"generators":[],"families":[[1,0]]}',
+        '{"rank":2,"generators":[],"families":[{"base":[1,0]}]}',
+        '{"rank":2,"generators":[],"families":[{"base":[1,0],"free":2}]}',
+    ):
+        code, out, err = run_cli("dimension", "--monoid", monoid)
+        assert (code, out) == (2, ""), monoid
+        assert err.startswith("error: ") and err.count("\n") == 1, monoid
 
 
 def test_thm56():

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from recip import ratfunc
 from recip.laurent import LaurentPolynomial
 from recip.parse import parse_poly, parse_ratfunc
 from recip.ratfunc import (
@@ -17,7 +18,7 @@ from recip.ratfunc import (
     sigma_of_reciprocal,
 )
 
-from conftest import COEFFS, random_nonzero_poly, random_ratfunc
+from conftest import COEFFS, random_nonzero_poly, random_poly, random_ratfunc
 
 
 def RF(text, rank=1):
@@ -171,6 +172,101 @@ def test_two_variable_reciprocal_identity():
     )
     rhs = RationalFunction(one, X) * RationalFunction(one, X + Y)
     assert lhs == rhs
+
+
+# -- gcd-free paths ------------------------------------------------------------
+#
+# Negation, inverse, integer powers and sigma_map start from a reduced pair and
+# skip the gcd.  Each must give term for term what the reducing constructor
+# gives for the same pair times a common factor: any nonzero polynomial in
+# rank 1, a monomial times a scalar in rank 2 (where no gcd runs at all).
+
+
+def _unary_images(r):
+    """(name, gcd-free result, unreduced (num, den) pair) for each operation."""
+    yield "neg", -r, (-r.num, r.den)
+    yield "sigma", sigma_map(r), (r.num.sigma(), r.den.sigma())
+    if r.is_zero():
+        return
+    yield "inverse", r.inverse(), (r.den, r.num)
+    for e in (2, 3):
+        yield f"pow{e}", r**e, (r.num**e, r.den**e)
+    yield "pow-2", r**-2, (r.den**2, r.num**2)
+
+
+def _common_factor(rng, rank):
+    if rank == 1:
+        return random_nonzero_poly(rng, 1, max_terms=3, span=3)
+    exponent = tuple(rng.randint(-3, 3) for _ in range(rank))
+    return LaurentPolynomial.monomial(rank, exponent, rng.choice(COEFFS))
+
+
+def test_gcd_free_paths_match_the_reducing_constructor():
+    rng = random.Random(47)
+    for _ in range(150):
+        rank = rng.choice((1, 2))
+        r = random_ratfunc(rng, rank)
+        for name, value, (num, den) in _unary_images(r):
+            c = _common_factor(rng, rank)
+            expected = RationalFunction(num * c, den * c)
+            assert (value.num, value.den) == (expected.num, expected.den), (name, r)
+            assert value.num.is_polynomial() or rank > 1
+
+
+def _to_sympy(poly, x):
+    import sympy
+
+    return sum(
+        (sympy.Rational(c.numerator, c.denominator) * x ** e[0] for e, c in poly.terms()),
+        sympy.Integer(0),
+    )
+
+
+def test_gcd_free_paths_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(53)
+    for _ in range(50):
+        r = random_ratfunc(rng, 1)
+        for name, value, (num, den) in _unary_images(r):
+            p, q = _to_sympy(value.num, x), _to_sympy(value.den, x)
+            unreduced = _to_sympy(num, x) / _to_sympy(den, x)
+            assert sympy.cancel(unreduced - p / q) == 0, (name, r)
+            assert sympy.gcd(p, q).is_number, (name, r)
+
+
+def test_gcd_free_paths_never_call_the_gcd(monkeypatch):
+    rng = random.Random(59)
+    inputs = [random_ratfunc(rng, 1) for _ in range(60)]
+
+    def forbidden(a, b):
+        raise AssertionError("poly_gcd called")
+
+    monkeypatch.setattr(ratfunc, "poly_gcd", forbidden)
+    for r in inputs:
+        list(_unary_images(r))
+
+
+def test_one_term_sides_never_call_the_gcd(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("dense gcd path reached")
+
+    monkeypatch.setattr(ratfunc, "poly_gcd", forbidden)
+    monkeypatch.setattr(ratfunc, "poly_divexact", forbidden)
+    rng = random.Random(67)
+    huge = LaurentPolynomial.monomial(1, (10**8,))
+    for _ in range(60):
+        poly = random_poly(rng, 1, span=6)
+        monomial = LaurentPolynomial.monomial(1, (rng.randint(-6, 6),), rng.choice(COEFFS))
+        if not poly.is_zero():
+            RationalFunction(monomial, poly)
+            RationalFunction(huge, poly)
+        RationalFunction(poly, monomial)
+        RationalFunction(poly, huge)
+    # One term left once the common monomial X^2 is taken out.
+    r = RationalFunction(parse_poly("X^3 + X^5"), parse_poly("2*X^2"))
+    assert (r.num, r.den) == (parse_poly("X + X^3").scale(Fraction(1, 2)), parse_poly("1"))
+    assert sigma_map(RationalFunction(huge)) == RationalFunction(1, huge)
 
 
 # -- sigma_of_reciprocal ------------------------------------------------------

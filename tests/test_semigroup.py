@@ -2,6 +2,8 @@
 independent brute-force enumeration."""
 
 import itertools
+import math
+import random
 
 import pytest
 
@@ -105,6 +107,27 @@ def test_gcd1_but_no_coprime_pair():
     table = representable_table([6, 10, 15], 60)
     assert S.frobenius == max(n for n in range(61) if not table[n])
     assert S.frobenius == 29
+
+
+def test_ns_create_generators_match_brute_force():
+    # The minimal generators are the members that are not a sum of two
+    # nonzero members; every one is at most conductor + multiplicity.
+    rng = random.Random(61)
+    cases = [[6, 10, 15], [10, 14, 35], [6, 10, 45], [12, 18, 20, 15], [1], [2, 3]]
+    while len(cases) < 150:
+        gens = [rng.randint(2, 40) for _ in range(rng.randint(1, 4))]
+        if math.gcd(*gens) == 1:
+            cases.append(gens)
+    for gens in cases:
+        S = ns_create(gens)
+        bound = S.conductor + S.multiplicity
+        table = representable_table(gens, bound)
+        members = [n for n in range(1, bound + 1) if table[n]]
+        sums = {a + b for a in members for b in members}
+        assert S.generators == tuple(n for n in members if n not in sums), gens
+        assert S.gaps == tuple(n for n in range(1, bound + 1) if not table[n]), gens
+        assert S.frobenius == max(S.gaps, default=-1) == S.conductor - 1
+        assert S.table == tuple(table[: S.conductor])
 
 
 # -- derived semigroup ---------------------------------------------------------
