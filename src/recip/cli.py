@@ -31,7 +31,13 @@ from .membership import (
 )
 from .parse import ParseError, parse_poly, parse_ratfunc, parse_rational
 from .ratfunc import format_ratfunc
-from .semigroup import derive_sprime, ns_create, semigroup_to_json
+from .semigroup import (
+    NumericalSemigroup,
+    derive_sprime,
+    ns_create,
+    semigroup_from_json,
+    semigroup_to_json,
+)
 from .valuation import euclid_divide, lex_valuation
 
 USAGE_ERROR = 2
@@ -46,23 +52,22 @@ def _emit(payload: dict, fmt: str) -> None:
             print(f"{key}: {json.dumps(value, separators=(',', ':'))}")
 
 
-def _gens_from_args(args) -> list[int]:
+def _semigroup_from_args(args) -> NumericalSemigroup:
     if getattr(args, "file", None):
         with open(args.file, "r", encoding="utf-8") as handle:
-            obj = json.load(handle)
-        return obj["generators"]
+            return semigroup_from_json(json.load(handle))
     if args.gens is None:
         raise SystemExit(USAGE_ERROR)
-    return [int(g) for g in args.gens.split(",") if g.strip()]
+    return ns_create([int(g) for g in args.gens.split(",") if g.strip()])
 
 
 def _cmd_semigroup(args) -> dict:
-    S = ns_create(_gens_from_args(args))
+    S = _semigroup_from_args(args)
     return semigroup_to_json(S, sprime=derive_sprime(S))
 
 
 def _cmd_sprime(args) -> dict:
-    S = ns_create(_gens_from_args(args))
+    S = _semigroup_from_args(args)
     return {"sprime_generators": list(derive_sprime(S).generators)}
 
 
@@ -73,13 +78,13 @@ def _verdict_json(verdict) -> dict:
 
 
 def _cmd_member(args) -> dict:
-    S = ns_create(_gens_from_args(args))
+    S = _semigroup_from_args(args)
     r = parse_ratfunc(args.expr)
     return _verdict_json(decide_membership(r, S))
 
 
 def _cmd_recip_member(args) -> dict:
-    S = ns_create(_gens_from_args(args))
+    S = _semigroup_from_args(args)
     r = parse_ratfunc(args.expr)
     return _verdict_json(in_reciprocal_complement(r, S))
 
@@ -147,7 +152,7 @@ def _cmd_egyptian(args) -> dict:
 
 
 def _cmd_oracle(args) -> dict:
-    S = ns_create(_gens_from_args(args))
+    S = _semigroup_from_args(args)
     r = parse_ratfunc(args.expr)
     pool = [parse_rational(c) for c in args.coeffs.split(",")]
     witness = brute_force_witness(

@@ -99,7 +99,8 @@ def kplusm_membership(
         return KPlusMVerdict(NOT_MEMBER)
     maximal = r - value
     residual = uniformizer_order(maximal, sigma_side=sigma_side)
-    assert residual is None or residual >= 1
+    if residual is not None and residual < 1:
+        raise RuntimeError("kplusm_membership: maximal part has uniformizer order below 1")
     return KPlusMVerdict(MEMBER, value, maximal)
 
 

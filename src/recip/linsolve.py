@@ -1,10 +1,9 @@
-"""Exact linear algebra over Q for the small systems arising here.
+"""Exact linear algebra over Q, on Fractions.
 
-Two solvers: Gauss-Jordan elimination for affine systems (used by the
-membership certificate search) and Fourier-Motzkin elimination with witness
-back-substitution for linear inequality feasibility (used by the monoid
-stratum checks).  Everything works on Fractions; instances are tiny, so
-clarity wins over sparsity tricks.
+Two solvers: sparse elimination for affine systems (used by the membership
+certificate search, whose systems are almost all zeros) and Fourier-Motzkin
+elimination with witness back-substitution for linear inequality
+feasibility (used by the monoid stratum checks).
 """
 
 from __future__ import annotations
@@ -22,34 +21,31 @@ def solve_affine(
 ) -> list[Fraction] | None:
     """One exact solution of rows . x = rhs, or None if inconsistent.
 
-    Free variables are set to zero, so the answer is deterministic.
+    Free variables are set to zero, so the answer is deterministic; it equals
+    Gauss-Jordan's, since the pivot columns do not depend on elimination order.
     """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    aug = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for c in range(n):
-        pivot_row = next((i for i in range(r, m) if aug[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        aug[r], aug[pivot_row] = aug[pivot_row], aug[r]
-        pivot = aug[r][c]
-        aug[r] = [v / pivot for v in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c] != 0:
-                factor = aug[i][c]
-                aug[i] = [v - factor * w for v, w in zip(aug[i], aug[r])]
-        pivots.append((r, c))
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if aug[i][n] != 0:
+    n = len(rows[0]) if rows else 0
+    pivots: dict[int, tuple[dict[int, Fraction], Fraction]] = {}  # column -> (rest of row, rhs)
+    for row, b in zip(rows, rhs):
+        entries = {c: Fraction(v) for c, v in enumerate(row) if v}
+        b = Fraction(b)
+        while entries and (c := min(entries)) in pivots:
+            factor = entries.pop(c)
+            rest, pivot_b = pivots[c]
+            for k, v in rest.items():
+                entries[k] = entries.get(k, 0) - factor * v
+                if not entries[k]:
+                    del entries[k]
+            b -= factor * pivot_b
+        if entries:  # its leading column c is not yet a pivot
+            factor = entries.pop(c)
+            pivots[c] = ({k: v / factor for k, v in entries.items()}, b / factor)
+        elif b:
             return None
     solution = [Fraction(0)] * n
-    for row, col in pivots:
-        solution[col] = aug[row][n]
+    for c in sorted(pivots, reverse=True):
+        rest, b = pivots[c]
+        solution[c] = b - sum(v * solution[k] for k, v in rest.items())
     return solution
 
 

@@ -3,7 +3,7 @@
 A numerical semigroup is a cofinite additive submonoid of the nonnegative
 integers, stored with its minimal generating set, gap set, Frobenius number
 (largest gap, -1 when the semigroup is all of N), and conductor
-(Frobenius + 1).
+(Frobenius + 1).  ``ns_create`` refuses conductors above ``MAX_CONDUCTOR``.
 
 The derived semigroup S' is generated by all values
 
@@ -11,9 +11,11 @@ The derived semigroup S' is generated by all values
 
 Writing such a value as t = s + sum(s - s_i) shows t >= s + (n-1) and that
 everything at or beyond the conductor of S is already in S, so only targets
-below the conductor matter.  They are enumerated by an unbounded-knapsack
-reachability table over the difference set {s - m : m in S, 0 < m < s},
-which is finite and exact.
+below the conductor matter.  For each member s, the sums x of differences
+s - m (m in S, 0 < m < s) with s + x below the conductor are the set bits
+of one Python int, closed under each difference d by shifts of d, 2d, 4d, ...
+The values s + x are closed under addition (the differences of s1 and of s2
+are differences of s1 + s2), so with 0 they are the members of S' there.
 """
 
 from __future__ import annotations
@@ -54,12 +56,20 @@ class NumericalSemigroup:
         return f"<{', '.join(map(str, self.generators))}>"
 
 
+MAX_CONDUCTOR = 10_000  # derive_sprime takes about 2 s at this conductor (2-vCPU VM)
+
+
+class LimitExceeded(ValueError):
+    """The input describes a semigroup beyond a declared size limit."""
+
+
 def ns_create(gens: Iterable[int]) -> NumericalSemigroup:
     """Build the numerical semigroup generated by ``gens``.
 
     Requires a nonempty list of positive integers with gcd 1 (otherwise the
     monoid is not cofinite in N).  Redundant generators are dropped; gaps,
-    Frobenius number, and conductor are computed by dynamic programming.
+    Frobenius number, and conductor are computed by dynamic programming;
+    a conductor above ``MAX_CONDUCTOR`` raises LimitExceeded.
     """
     gens = sorted(set(gens))
     if not gens:
@@ -73,34 +83,35 @@ def ns_create(gens: Iterable[int]) -> NumericalSemigroup:
     table = [True]  # table[n] says whether n is representable
     run = 1 if multiplicity == 1 else 0
     n = 0
+    # The loop stops after the first run of `multiplicity` consecutive
+    # members; adding multiples of the multiplicity, everything from its
+    # start on is a member.  The conductor is at least the current run's start.
     while run < multiplicity:
         n += 1
         member = any(g <= n and table[n - g] for g in gens)
         table.append(member)
         run = run + 1 if member else 0
-    # The loop stops after the first run of `multiplicity` consecutive
-    # members; adding multiples of the multiplicity, everything from its
-    # start on is a member, and the integer just before it is the largest gap.
-    conductor = n - multiplicity + 1
-    gaps = tuple(k for k in range(1, conductor) if not table[k])
+        if n - run >= MAX_CONDUCTOR:
+            raise LimitExceeded(f"semigroup conductor exceeds the limit {MAX_CONDUCTOR}")
+    return _from_table(table)
+
+
+def _from_table(table: list[bool]) -> NumericalSemigroup:
+    """The semigroup with the members flagged in ``table`` and all n >= len(table)."""
+    gaps = tuple(k for k in range(1, len(table)) if not table[k])
+    conductor = gaps[-1] + 1 if gaps else 0
 
     def is_member(k: int) -> bool:
         return k >= conductor or table[k]
 
+    multiplicity = next(k for k in range(1, conductor + 2) if is_member(k))
     # A sum of two nonzero members is a minimal generator plus a nonzero
     # member, so each candidate is tested against the generators found so far.
     minimal: list[int] = []
     for candidate in range(1, conductor + multiplicity + 1):
         if is_member(candidate) and not any(is_member(candidate - g) for g in minimal):
             minimal.append(candidate)
-
-    return NumericalSemigroup(
-        generators=tuple(minimal),
-        gaps=gaps,
-        frobenius=conductor - 1,
-        conductor=conductor,
-        table=tuple(table[:conductor]),
-    )
+    return NumericalSemigroup(tuple(minimal), gaps, conductor - 1, conductor, tuple(table[:conductor]))
 
 
 @lru_cache(maxsize=None)
@@ -110,19 +121,19 @@ def derive_sprime(S: NumericalSemigroup) -> NumericalSemigroup:
     S is contained in S' and both share the same smallest nonzero element.
     """
     conductor = S.conductor
-    extra: set[int] = set()
-    members_below = [s for s in range(1, conductor) if S.contains(s)]
-    for s in members_below:
-        limit = conductor - s - 1  # targets s + x with x <= limit stay below the conductor
-        if limit < 0:
-            continue
-        diffs = [s - m for m in members_below if 0 < m < s]
-        reach = [False] * (limit + 1)
-        reach[0] = True
-        for x in range(1, limit + 1):
-            reach[x] = any(d <= x and reach[x - d] for d in diffs)
-        extra.update(s + x for x in range(limit + 1) if reach[x])
-    return ns_create(sorted(set(S.generators) | extra))
+    sprime = 1  # bit t says whether t < conductor is in S'
+    for s in [m for m in range(1, conductor) if S.table[m]]:
+        limit = conductor - s  # targets s + x with x < limit stay below the conductor
+        mask = (1 << limit) - 1
+        reach = 1
+        for d in range(1, min(s, limit)):  # differences s - m, smallest first
+            if S.table[s - d] and not reach >> d & 1:  # a reach holding d is closed under d
+                step = d
+                while step < limit:
+                    reach |= (reach << step) & mask
+                    step <<= 1
+        sprime |= reach << s
+    return _from_table([bit == "1" for bit in reversed(f"{sprime:0{conductor}b}")])
 
 
 def sprime_stability_check(S: NumericalSemigroup) -> bool:
@@ -147,6 +158,8 @@ def semigroup_to_json(S: NumericalSemigroup, sprime: NumericalSemigroup | None =
 
 
 def semigroup_from_json(obj: dict) -> NumericalSemigroup:
-    if "generators" not in obj:
-        raise ValueError("semigroup JSON must contain \"generators\"")
-    return ns_create(obj["generators"])
+    """Read ``{"generators": [...]}``; ValueError on any other shape."""
+    gens = obj.get("generators") if isinstance(obj, dict) else None
+    if not isinstance(gens, list) or not gens or not all(type(g) is int for g in gens):
+        raise ValueError('semigroup JSON must be an object whose "generators" is a nonempty list of integers')
+    return ns_create(gens)

@@ -135,7 +135,8 @@ def euclid_divide(
         c[i] = (a.coeff((deg_a - i,)) - u * b.coeff((deg_b - i,)) - tail) / u2
     q = LaurentPolynomial(1, {(e,): u, **{(e - i,): c[i] for i in range(1, e + 1) if c[i] != 0}})
     r = a - b * q
-    assert r.is_zero() or r.degree() < deg_b
+    if not (r.is_zero() or r.degree() < deg_b):
+        raise RuntimeError("euclid_divide: remainder degree not below the divisor degree")
     return q, r
 
 

@@ -2,6 +2,7 @@
 
 import io
 import json
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 from recip.cli import main
@@ -92,6 +93,24 @@ def test_semigroup_from_file(tmp_path):
     assert payload == {"sprime_generators": [4, 7, 9, 10]}
     payload = run_json("member", "--file", str(path), "--expr", "X^10")
     assert payload["status"] == "Member"
+
+
+def test_semigroup_file_rejects_malformed_json(tmp_path):
+    path = tmp_path / "semigroup.json"
+    for text in ('{"generators":"x"}', "[1]", "{}", '{"generators":[]}', '{"generators":[4,7.5]}'):
+        path.write_text(text, encoding="utf-8")
+        for command in ("sprime", "semigroup"):
+            code, out, err = run_cli(command, "--file", str(path))
+            assert (code, out) == (2, ""), (command, text)
+            assert err.startswith("error: ") and err.count("\n") == 1, (command, text)
+
+
+def test_conductor_limit_exits_two_quickly():
+    start = time.perf_counter()
+    code, out, err = run_cli("semigroup", "--gens", "1000003,1000033")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "limit" in err and err.count("\n") == 1
 
 
 def test_dimension_from_file(tmp_path):

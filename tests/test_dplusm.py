@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from recip import dplusm
 from recip.dplusm import (
     UndecidableError,
     check_dplusm_decomposition,
@@ -42,6 +43,20 @@ def test_member_with_constant_five():
     # exact re-summation
     assert verdict.maximal_part + verdict.constant_part == r
     assert uniformizer_order(verdict.maximal_part) >= 1
+
+
+def test_residual_postcondition_is_an_explicit_check(monkeypatch):
+    # A maximal part of order 0 must raise even under python -O.
+    real_order = dplusm.uniformizer_order
+    calls = []
+
+    def order(r, sigma_side=False):
+        calls.append(r)
+        return real_order(r, sigma_side=sigma_side) if len(calls) == 1 else 0
+
+    monkeypatch.setattr(dplusm, "uniformizer_order", order)
+    with pytest.raises(RuntimeError):
+        kplusm_membership(RF2("5 + (X/(X^2+1))*Y^-1"), 2)
 
 
 def test_plain_x_is_not_member():

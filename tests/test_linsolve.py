@@ -8,6 +8,37 @@ from recip.linsolve import fm_witness, solve_affine
 F = Fraction
 
 
+def gauss_jordan(rows, rhs):
+    """Dense Gauss-Jordan elimination with free variables set to zero."""
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    aug = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    pivots = []
+    r = 0
+    for c in range(n):
+        pivot_row = next((i for i in range(r, m) if aug[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        aug[r], aug[pivot_row] = aug[pivot_row], aug[r]
+        pivot = aug[r][c]
+        aug[r] = [v / pivot for v in aug[r]]
+        for i in range(m):
+            if i != r and aug[i][c] != 0:
+                factor = aug[i][c]
+                aug[i] = [v - factor * w for v, w in zip(aug[i], aug[r])]
+        pivots.append((r, c))
+        r += 1
+        if r == m:
+            break
+    for i in range(r, m):
+        if aug[i][n] != 0:
+            return None
+    solution = [Fraction(0)] * n
+    for row, col in pivots:
+        solution[col] = aug[row][n]
+    return solution
+
+
 def test_solve_affine_unique():
     # x + y = 3, x - y = 1  ->  x = 2, y = 1
     assert solve_affine([[F(1), F(1)], [F(1), F(-1)]], [F(3), F(1)]) == [F(2), F(1)]
@@ -34,6 +65,36 @@ def test_solve_affine_random_consistent_systems():
         assert solution is not None
         for row, b in zip(rows, rhs):
             assert sum((a * x for a, x in zip(row, solution)), F(0)) == b
+
+
+def test_solve_affine_matches_gauss_jordan():
+    rng = random.Random(7)
+    shapes = {"zero rows": 0, "duplicate rows": 0, "free variables": 0, "inconsistent": 0}
+    for _ in range(2000):
+        m = rng.randint(0, 7)
+        n = rng.randint(0, 7) if m else 0
+        density = rng.choice([0.2, 0.5, 0.9])
+        rows = [
+            [F(rng.randint(-3, 3), rng.randint(1, 2)) if rng.random() < density else F(0) for _ in range(n)]
+            for _ in range(m)
+        ]
+        if m > 1 and rng.random() < 0.3:
+            rows[rng.randrange(m)] = list(rows[rng.randrange(m)])
+        if m and rng.random() < 0.2:
+            rows[rng.randrange(m)] = [F(0)] * n
+        target = [F(rng.randint(-3, 3)) for _ in range(n)]
+        rhs = [sum((a * x for a, x in zip(row, target)), F(0)) for row in rows]
+        if m and rng.random() < 0.4:
+            rhs[rng.randrange(m)] += rng.randint(1, 3)
+        expected = gauss_jordan(rows, rhs)
+        solution = solve_affine(rows, rhs)
+        assert solution == expected, (rows, rhs)
+        assert all(type(v) is Fraction for v in solution or ())
+        shapes["zero rows"] += any(not any(row) for row in rows)
+        shapes["duplicate rows"] += len(set(map(tuple, rows))) < m
+        shapes["free variables"] += expected is not None and any(not any(col) for col in zip(*rows))
+        shapes["inconsistent"] += expected is None
+    assert min(shapes.values()) >= 50, shapes
 
 
 def test_fm_simple_box():

@@ -4,16 +4,42 @@ independent brute-force enumeration."""
 import itertools
 import math
 import random
+import time
 
 import pytest
 
 from recip.semigroup import (
+    MAX_CONDUCTOR,
+    LimitExceeded,
     derive_sprime,
     ns_create,
     semigroup_from_json,
     semigroup_to_json,
     sprime_stability_check,
 )
+
+# S' generators of the sprime ladder, from <4,7,9> up to <101,113,127>
+# (conductor 1764), as computed by the list-based knapsack below.
+LADDER_SPRIME = {
+    (4, 7, 9): (4, 7, 9, 10),
+    (11, 13, 17): (11, 13, 15, 17, 19, 21, 23, 25, 27, 29, 31),
+    (23, 29, 31): (
+        23, 29, 31, 33, 35, 37, 39, 41, 43, 45, 47, 49, 51, 53, 55, 57, 59, 61, 63, 65, 67,
+        71, 73,
+    ),
+    (43, 47, 53): (
+        43, 47, 51, 53, 55, 59, 63, 65, 67, 69, 71, 73, 75, 77, 79, 81, 83, 85, 87, 89, 91,
+        93, 95, 97, 99, 101, 103, 105, 107, 109, 111, 113, 115, 117, 119, 121, 123, 125, 127,
+        131, 135,
+    ),
+    (101, 113, 127): (
+        101, 113, 125, 127, 137, 141, 149, 153, 155, 161, 167, 169, 173, 179, 181, 183, 185,
+        193, 195, 197, 205, 207, 209, 211, 219, 221, 223, 225, 230, 231, 232, 233, 234, 235,
+        236, 237, 239, 244, 245, 246, 247, 248, 249, 251, 253, 257, 258, 259, 260, 261, 263,
+        265, 267, 269, 271, 272, 273, 275, 277, 279, 281, 283, 285, 287, 289, 291, 293, 295,
+        297, 299, 301, 305, 307, 309, 311, 313, 317, 319, 321, 323, 325,
+    ),
+}
 
 
 # -- independent oracles -----------------------------------------------------
@@ -43,6 +69,27 @@ def sprime_oracle_members(S, bound):
     for n in range(1, bound + 1):
         closure[n] = any(v <= n and closure[n - v] for v in values)
     return closure
+
+
+def sprime_knapsack(S):
+    """S' by one unbounded-knapsack reachability list per member s below the
+    conductor, over the differences s - m, then ns_create on the union."""
+    conductor = S.conductor
+    extra = set()
+    members_below = [s for s in range(1, conductor) if S.contains(s)]
+    for s in members_below:
+        limit = conductor - s - 1  # targets s + x with x <= limit stay below the conductor
+        diffs = [s - m for m in members_below if 0 < m < s]
+        reach = [False] * (limit + 1)
+        reach[0] = True
+        for x in range(1, limit + 1):
+            reach[x] = any(d <= x and reach[x - d] for d in diffs)
+        extra.update(s + x for x in range(limit + 1) if reach[x])
+    return ns_create(sorted(set(S.generators) | extra))
+
+
+def fields(S):
+    return S.generators, S.gaps, S.frobenius, S.conductor, S.table
 
 
 # -- construction -------------------------------------------------------------
@@ -161,6 +208,43 @@ def test_derive_sprime_matches_enumeration_oracle():
         assert [Sp.contains(n) for n in range(bound + 1)] == oracle, gens
 
 
+def test_derive_sprime_matches_knapsack_on_seeded_semigroups():
+    rng = random.Random(2024)
+    cases = [[1], [2, 3]]
+    while len(cases) < 1000:
+        gens = [rng.randint(2, 40) for _ in range(rng.randint(1, 5))]
+        if math.gcd(*gens) == 1 and ns_create(gens).conductor <= 250:
+            cases.append(gens)
+    for gens in cases:
+        S = ns_create(gens)
+        assert fields(derive_sprime.__wrapped__(S)) == fields(sprime_knapsack(S)), gens
+
+
+def test_derive_sprime_ladder_pinned():
+    for gens, expected in LADDER_SPRIME.items():
+        if max(gens) < 100:  # the knapsack takes seconds at the top of the ladder
+            assert sprime_knapsack(ns_create(gens)).generators == expected
+        assert derive_sprime(ns_create(gens)).generators == expected
+
+
+def test_derive_sprime_top_of_ladder_time_gate():
+    start = time.perf_counter()
+    sprime = derive_sprime.__wrapped__(ns_create([101, 113, 127]))
+    elapsed = time.perf_counter() - start
+    assert sprime.generators == LADDER_SPRIME[(101, 113, 127)]
+    assert elapsed < 1.0
+
+
+def test_conductor_limit():
+    assert ns_create([2, MAX_CONDUCTOR + 1]).conductor == MAX_CONDUCTOR
+    with pytest.raises(LimitExceeded):
+        ns_create([2, MAX_CONDUCTOR + 3])
+    start = time.perf_counter()
+    with pytest.raises(LimitExceeded):
+        ns_create([1000003, 1000033])  # conductor about 10^12
+    assert time.perf_counter() - start < 1.0
+
+
 def test_reapplication_is_allowed_without_fixpoint_claims():
     Sp = derive_sprime(ns_create([4, 7, 9]))
     Spp = derive_sprime(Sp)
@@ -197,5 +281,7 @@ def test_json_round_trip():
         "sprime_generators": [4, 7, 9, 10],
     }
     assert semigroup_from_json(obj) == S
-    with pytest.raises(ValueError):
-        semigroup_from_json({})
+    for bad in ({}, [1], {"generators": "x"}, {"generators": []}, {"generators": [4, 7.0]},
+                {"generators": [True, 3]}, {"generators": [4, 6]}):
+        with pytest.raises(ValueError):
+            semigroup_from_json(bad)

@@ -8,6 +8,7 @@ import pytest
 from recip.laurent import LaurentPolynomial
 from recip.parse import parse_poly, parse_ratfunc
 from recip.ratfunc import RationalFunction, sigma_map, sigma_of_reciprocal
+from recip import valuation
 from recip.valuation import (
     ValuationValue,
     classical_divide,
@@ -162,6 +163,19 @@ def test_exact_division():
 def test_divide_by_zero_rejected():
     with pytest.raises(ZeroDivisionError):
         euclid_divide(parse_poly("X"), LaurentPolynomial.zero(1))
+
+
+def test_divide_postcondition_is_an_explicit_check(monkeypatch):
+    # A wrong quotient must raise even under python -O, which strips asserts.
+    class ZeroQuotient:
+        zero = staticmethod(LaurentPolynomial.zero)
+
+        def __new__(cls, rank, terms):
+            return LaurentPolynomial.zero(rank)
+
+    monkeypatch.setattr(valuation, "LaurentPolynomial", ZeroQuotient)
+    with pytest.raises(RuntimeError):
+        euclid_divide(parse_poly("X^3"), parse_poly("X + 1"))
 
 
 def test_divide_contract_and_classical_agreement():
