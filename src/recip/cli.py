@@ -52,13 +52,18 @@ def _emit(payload: dict, fmt: str) -> None:
             print(f"{key}: {json.dumps(value, separators=(',', ':'))}")
 
 
+def _semigroup_from_gens(text: str) -> NumericalSemigroup:
+    """The semigroup of a --gens list: comma-separated, blank items skipped."""
+    return ns_create([int(g) for g in text.split(",") if g.strip()])
+
+
 def _semigroup_from_args(args) -> NumericalSemigroup:
     if getattr(args, "file", None):
         with open(args.file, "r", encoding="utf-8") as handle:
             return semigroup_from_json(json.load(handle))
     if args.gens is None:
         raise SystemExit(USAGE_ERROR)
-    return ns_create([int(g) for g in args.gens.split(",") if g.strip()])
+    return _semigroup_from_gens(args.gens)
 
 
 def _cmd_semigroup(args) -> dict:
@@ -111,7 +116,7 @@ def _cmd_dimension(args) -> dict:
         with open(args.file, "r", encoding="utf-8") as handle:
             monoid = monoid_from_json(json.load(handle))
     elif args.gens:
-        monoid = monoid_from_semigroup(ns_create([int(g) for g in args.gens.split(",")]))
+        monoid = monoid_from_semigroup(_semigroup_from_gens(args.gens))
     else:
         raise SystemExit(USAGE_ERROR)
     return report_to_json(dimension_report(monoid))

@@ -1,33 +1,40 @@
 """Exact linear algebra over Q, on Fractions.
 
 Two solvers: sparse elimination for affine systems (used by the membership
-certificate search, whose systems are almost all zeros) and Fourier-Motzkin
-elimination with witness back-substitution for linear inequality
-feasibility (used by the monoid stratum checks).
+certificate search, whose rows hold a handful of nonzeros out of thousands
+of columns) and Fourier-Motzkin elimination with witness back-substitution
+for linear inequality feasibility (used by the monoid stratum checks).
+
+Affine systems are sparse in and out: a row is a ``{column: coefficient}``
+mapping whose absent columns are zero, and a solution is a
+``{column: value}`` dict holding only the nonzero values.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Sequence
+from typing import Mapping, Sequence
 
 Row = tuple[Fraction, ...]
 Constraint = tuple[Row, Fraction]  # coefficients a, bound b: a . x <= b
 
 
 def solve_affine(
-    rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
-) -> list[Fraction] | None:
-    """One exact solution of rows . x = rhs, or None if inconsistent.
+    rows: Sequence[Mapping[int, Fraction]], rhs: Sequence[Fraction]
+) -> dict[int, Fraction] | None:
+    """One exact solution of rows . x = rhs as {column: nonzero value}, or None.
 
-    Free variables are set to zero, so the answer is deterministic; it equals
-    Gauss-Jordan's, since the pivot columns do not depend on elimination order.
+    Each row maps columns to coefficients (absent columns are zero); None
+    means the system is inconsistent.  Every row is reduced against the
+    pivots found so far, always on its smallest column, then the pivots are
+    back-substituted with free variables set to zero, so the answer is
+    deterministic; it equals Gauss-Jordan's, since the pivot columns do not
+    depend on elimination order.
     """
-    n = len(rows[0]) if rows else 0
     pivots: dict[int, tuple[dict[int, Fraction], Fraction]] = {}  # column -> (rest of row, rhs)
     for row, b in zip(rows, rhs):
-        entries = {c: Fraction(v) for c, v in enumerate(row) if v}
+        entries = {c: Fraction(v) for c, v in row.items() if v}
         b = Fraction(b)
         while entries and (c := min(entries)) in pivots:
             factor = entries.pop(c)
@@ -42,10 +49,11 @@ def solve_affine(
             pivots[c] = ({k: v / factor for k, v in entries.items()}, b / factor)
         elif b:
             return None
-    solution = [Fraction(0)] * n
+    solution: dict[int, Fraction] = {}
     for c in sorted(pivots, reverse=True):
         rest, b = pivots[c]
-        solution[c] = b - sum(v * solution[k] for k, v in rest.items())
+        if value := b - sum(v * solution[k] for k, v in rest.items() if k in solution):
+            solution[c] = value
     return solution
 
 

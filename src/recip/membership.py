@@ -15,6 +15,12 @@ nothing, and the gap conditions form a finite linear system over Q with
 h_0 = 1 pinned.  Feasibility yields a certificate; infeasibility is an exact
 non-membership proof.
 
+The system has 2 * |gaps of S'| equations in the F' unknowns h_1 .. h_F',
+but the equation at gap j of p (or q) touches only h_(j - e) for the
+exponents e of p (or q).  Each equation is therefore built straight from
+the terms as a sparse ``{column: coefficient}`` row, and the solver hands
+back only the nonzero h_k; no dense matrix is ever formed.
+
 The reciprocal complement of the semigroup algebra of S is the image of this
 ring under the exponent-negation automorphism, so membership for it is
 decided on the sigma side.
@@ -30,7 +36,7 @@ from typing import Iterable, Sequence
 
 from .laurent import LaurentPolynomial, as_fraction
 from .linsolve import solve_affine
-from .ratfunc import RationalFunction, ReciprocalSum, sigma_map
+from .ratfunc import RationalFunction, ReciprocalSum, normalize_reciprocal_sum, sigma_map
 from .semigroup import NumericalSemigroup, derive_sprime
 
 MEMBER = "Member"
@@ -79,20 +85,19 @@ def decide_membership(r: RationalFunction, S: NumericalSemigroup) -> MembershipV
     if bound < 0:
         return MembershipVerdict.member(LaurentPolynomial.one(1))
 
-    # Unknowns h_1 .. h_bound; h_0 = 1.  One equation per (polynomial, gap):
-    # sum_k coeff(poly, j - k) * h_k = 0.
-    rows: list[list[Fraction]] = []
+    # Unknowns h_1 .. h_bound in columns 0 .. bound - 1; h_0 = 1.  One sparse
+    # row per (polynomial, gap j), built from the terms c*X^e of poly:
+    # sum_e c * h_(j - e) = -coeff(poly, j), over 1 <= j - e (e >= 0 here).
+    rows: list[dict[int, Fraction]] = []
     rhs: list[Fraction] = []
     for poly in (p, q):
         for gap in sprime.gaps:
-            rows.append([poly.coeff((gap - k,)) for k in range(1, bound + 1)])
+            rows.append({gap - e - 1: c for (e,), c in poly.terms() if gap - e >= 1})
             rhs.append(-poly.coeff((gap,)))
     solution = solve_affine(rows, rhs)
     if solution is None:
         return MembershipVerdict.not_member(LINEAR_SYSTEM_INFEASIBLE)
-    h = LaurentPolynomial(
-        1, {(0,): Fraction(1), **{(k,): c for k, c in enumerate(solution, 1) if c != 0}}
-    )
+    h = LaurentPolynomial(1, {(0,): Fraction(1), **{(k + 1,): c for k, c in solution.items()}})
     return MembershipVerdict.member(h)
 
 
@@ -173,25 +178,18 @@ def brute_force_witness(
     if not pool or any(c == 0 for c in pool):
         raise ValueError("coefficient pool must be nonzero")
     members = [n for n in range(max_degree + 1) if S.contains(n)]
-    one = LaurentPolynomial.one(1)
-
-    def matches(denominators: list[LaurentPolynomial]) -> bool:
-        total = RationalFunction.zero(1)
-        for d in denominators:
-            total = total + RationalFunction(one, d)
-        return total == r
 
     # Stage 1: single denominators with small support.
     for m in members:
         for c in pool:
             d = LaurentPolynomial(1, {(m,): c})
-            if matches([d]):
+            if normalize_reciprocal_sum([d]) == r:
                 return ReciprocalSum((d,))
     for m1, m2 in itertools.combinations(members, 2):
         for c1 in pool:
             for c2 in pool:
                 d = LaurentPolynomial(1, {(m1,): c1, (m2,): c2})
-                if matches([d]):
+                if normalize_reciprocal_sum([d]) == r:
                     return ReciprocalSum((d,))
 
     # Stage 2: multisets of monomial denominators.
@@ -226,7 +224,7 @@ def brute_force_witness(
             denominators.append(
                 LaurentPolynomial(1, {(m,): rng.choice(pool) for m in support})
             )
-        if matches(denominators):
+        if normalize_reciprocal_sum(denominators) == r:
             return ReciprocalSum(tuple(denominators))
     return None
 

@@ -16,6 +16,8 @@ monomials use the vector form ``X^(1,-2)``; with one name per coordinate
 (for example Y and X), each variable takes a plain integer power.
 
 Parse errors carry the offending position and what was expected.
+Parentheses nest at most ``MAX_NESTING`` deep; a deeper '(' is a parse
+error at its position rather than a ``RecursionError``.
 """
 
 from __future__ import annotations
@@ -25,6 +27,9 @@ from fractions import Fraction
 
 from .laurent import LaurentPolynomial
 from .ratfunc import RationalFunction
+
+
+MAX_NESTING = 100  # parenthesis depth; each level costs five Python frames
 
 
 class ParseError(ValueError):
@@ -67,6 +72,7 @@ class _Parser:
         self.coords = {name: i for i, name in enumerate(names)}
         self.tokens = _tokenize(text.replace("−", "-"))
         self.index = 0
+        self.depth = 0
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.index]
@@ -142,8 +148,12 @@ class _Parser:
             self.advance()
             return self.variable(token, pos)
         if kind == "op" and token == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", pos)
             self.advance()
+            self.depth += 1
             value = self.expr()
+            self.depth -= 1
             self.expect_op(")")
             return value
         raise ParseError("expected a number, variable, or '('", pos)

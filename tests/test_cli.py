@@ -113,6 +113,32 @@ def test_conductor_limit_exits_two_quickly():
     assert err.startswith("error: ") and "limit" in err and err.count("\n") == 1
 
 
+def test_wide_membership_system_is_fast():
+    # F(S') = 3999: the certificate system has 4,000 sparse rows.
+    start = time.perf_counter()
+    code, out, _ = run_cli("member", "--gens", "2,4001", "--expr", "1/(1-X)")
+    assert time.perf_counter() - start < 2.0
+    assert (code, out) == (0, '{"status":"NotMember","obstruction":"LinearSystemInfeasible"}\n')
+
+
+def test_deep_nesting_is_one_line_parse_error():
+    expr = "(" * 3000 + "X" + ")" * 3000
+    code, out, err = run_cli("member", "--gens", "4,7,9", "--expr", expr)
+    assert (code, out) == (3, "")
+    assert err.startswith("parse error: ") and "position 100" in err and err.count("\n") == 1
+
+
+def test_generator_spellings_agree_across_commands():
+    expected = {command: run_cli(command, "--gens", "4,7,9") for command in ("semigroup", "dimension")}
+    for gens in ("4,7,9,", " 4, 7 ,9", "4,,7,9", ",4,7,9"):
+        for command in ("semigroup", "dimension"):
+            assert run_cli(command, "--gens", gens) == expected[command], (command, gens)
+    for gens in ("4,x,9", "4;7;9"):
+        for command in ("semigroup", "dimension"):
+            code, out, err = run_cli(command, "--gens", gens)
+            assert (code, out) == (2, "") and err.startswith("error: "), (command, gens)
+
+
 def test_dimension_from_file(tmp_path):
     path = tmp_path / "monoid.json"
     path.write_text(

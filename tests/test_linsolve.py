@@ -39,18 +39,36 @@ def gauss_jordan(rows, rhs):
     return solution
 
 
+def sparse(rows):
+    """Dense test rows as the {column: coefficient} rows solve_affine takes."""
+    return [dict(enumerate(row)) for row in rows]
+
+
+def nonzero(solution):
+    """A dense Gauss-Jordan solution as solve_affine's {column: nonzero value}."""
+    return None if solution is None else {c: v for c, v in enumerate(solution) if v}
+
+
 def test_solve_affine_unique():
     # x + y = 3, x - y = 1  ->  x = 2, y = 1
-    assert solve_affine([[F(1), F(1)], [F(1), F(-1)]], [F(3), F(1)]) == [F(2), F(1)]
+    assert solve_affine(sparse([[F(1), F(1)], [F(1), F(-1)]]), [F(3), F(1)]) == {0: F(2), 1: F(1)}
 
 
 def test_solve_affine_inconsistent():
-    assert solve_affine([[F(1), F(1)], [F(2), F(2)]], [F(1), F(3)]) is None
+    assert solve_affine(sparse([[F(1), F(1)], [F(2), F(2)]]), [F(1), F(3)]) is None
 
 
 def test_solve_affine_free_variables_default_to_zero():
-    solution = solve_affine([[F(1), F(1), F(0)]], [F(5)])
-    assert solution == [F(5), F(0), F(0)]
+    solution = solve_affine(sparse([[F(1), F(1), F(0)]]), [F(5)])
+    assert solution == {0: F(5)}
+
+
+def test_solve_affine_sparse_rows_and_empty_system():
+    # Columns are labels, not positions: nothing is allocated up to 10^9.
+    rows = [{10**9: F(2), 3: F(1)}, {3: F(1)}, {}]
+    assert solve_affine(rows, [F(8), F(2), F(0)]) == {3: F(2), 10**9: F(3)}
+    assert solve_affine([{}], [F(1)]) is None
+    assert solve_affine([], []) == {}
 
 
 def test_solve_affine_random_consistent_systems():
@@ -61,10 +79,10 @@ def test_solve_affine_random_consistent_systems():
         target = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
         rows = [[F(rng.randint(-3, 3)) for _ in range(n)] for _ in range(m)]
         rhs = [sum((a * x for a, x in zip(row, target)), F(0)) for row in rows]
-        solution = solve_affine(rows, rhs)
+        solution = solve_affine(sparse(rows), rhs)
         assert solution is not None
         for row, b in zip(rows, rhs):
-            assert sum((a * x for a, x in zip(row, solution)), F(0)) == b
+            assert sum((a * solution.get(c, 0) for c, a in enumerate(row)), F(0)) == b
 
 
 def test_solve_affine_matches_gauss_jordan():
@@ -87,9 +105,9 @@ def test_solve_affine_matches_gauss_jordan():
         if m and rng.random() < 0.4:
             rhs[rng.randrange(m)] += rng.randint(1, 3)
         expected = gauss_jordan(rows, rhs)
-        solution = solve_affine(rows, rhs)
-        assert solution == expected, (rows, rhs)
-        assert all(type(v) is Fraction for v in solution or ())
+        solution = solve_affine(sparse(rows), rhs)
+        assert solution == nonzero(expected), (rows, rhs)
+        assert all(type(v) is Fraction and v for v in (solution or {}).values())
         shapes["zero rows"] += any(not any(row) for row in rows)
         shapes["duplicate rows"] += len(set(map(tuple, rows))) < m
         shapes["free variables"] += expected is not None and any(not any(col) for col in zip(*rows))

@@ -1,6 +1,8 @@
 """Membership decision, certificates, and the brute-force witness search."""
 
+import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -8,7 +10,9 @@ import pytest
 from recip.laurent import LaurentPolynomial
 from recip.membership import (
     LINEAR_SYSTEM_INFEASIBLE,
+    MEMBER,
     POLE_AT_ORIGIN,
+    MembershipVerdict,
     brute_force_witness,
     decide_membership,
     in_reciprocal_complement,
@@ -24,6 +28,8 @@ from recip.ratfunc import (
 )
 from recip.semigroup import derive_sprime, ns_create
 
+from conftest import random_nonzero_poly, random_poly
+from test_linsolve import gauss_jordan
 from test_semigroup import representable_table
 
 S479 = ns_create([4, 7, 9])
@@ -84,6 +90,69 @@ def test_reduction_can_require_nontrivial_certificate():
     verdict = decide_membership(r, S479)
     assert verdict.is_member
     assert verify_certificate(r, S479, verdict.certificate)
+
+
+def dense_decide(r, S):
+    """Reference decision on the dense system: one row of all F' coefficients
+    per (polynomial, gap), solved by dense Gauss-Jordan."""
+    p, q = r.num, r.den
+    if q.constant_term() == 0:
+        return MembershipVerdict.not_member(POLE_AT_ORIGIN)
+    scale = 1 / q.constant_term()
+    p, q = p.scale(scale), q.scale(scale)
+    sprime = derive_sprime(S)
+    bound = sprime.frobenius
+    if bound < 0:
+        return MembershipVerdict.member(LaurentPolynomial.one(1))
+    rows, rhs = [], []
+    for poly in (p, q):
+        for gap in sprime.gaps:
+            rows.append([poly.coeff((gap - k,)) for k in range(1, bound + 1)])
+            rhs.append(-poly.coeff((gap,)))
+    solution = gauss_jordan(rows, rhs)
+    if solution is None:
+        return MembershipVerdict.not_member(LINEAR_SYSTEM_INFEASIBLE)
+    h = {(0,): 1, **{(k,): c for k, c in enumerate(solution, 1) if c}}
+    return MembershipVerdict.member(LaurentPolynomial(1, h))
+
+
+def test_sparse_system_matches_dense_oracle():
+    rng = random.Random(41)
+    seen = {MEMBER: 0, POLE_AT_ORIGIN: 0, LINEAR_SYSTEM_INFEASIBLE: 0, "nontrivial": 0}
+    for i in range(1000):
+        while math.gcd(*(gens := rng.sample(range(2, 12), rng.randint(2, 3)))) != 1:
+            pass
+        S = N if i % 50 == 0 else ns_create(gens)
+        if i % 2:
+            sample = random_reciprocal_sum(S, rng, max_terms=2, max_degree=10)
+            r = sigma_map(normalize_reciprocal_sum(sample))
+        else:
+            r = RationalFunction(
+                random_poly(rng, polynomial=True, span=8),
+                random_nonzero_poly(rng, polynomial=True, span=8),
+            )
+        verdict = decide_membership(r, S)
+        assert verdict == dense_decide(r, S), (r, S.generators)
+        seen[verdict.obstruction or verdict.status] += 1
+        seen["nontrivial"] += verdict.is_member and verdict.certificate != 1
+    assert min(seen.values()) >= 100, seen
+
+
+def test_wide_system_stays_small():
+    # <2,4001> has S' = <2,4001> with F' = 3999: 4,000 gap equations in 3,999
+    # unknowns, 16 million cells if written densely.  The S' derivation is
+    # warmed first (it is cached), so the peak is the decision's own.
+    S = ns_create([2, 4001])
+    assert derive_sprime(S).frobenius == 3999
+    r = RF("1/(1-X)")
+    tracemalloc.start()
+    try:
+        verdict = decide_membership(r, S)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.obstruction == LINEAR_SYSTEM_INFEASIBLE
+    assert peak < 16 * 2**20, peak
 
 
 # -- verify_certificate -----------------------------------------------------------

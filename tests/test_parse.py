@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from recip.laurent import LaurentPolynomial, format_poly
-from recip.parse import ParseError, parse_poly, parse_ratfunc, parse_rational
+from recip.parse import MAX_NESTING, ParseError, parse_poly, parse_ratfunc, parse_rational
 from recip.ratfunc import format_ratfunc
 
 
@@ -119,3 +119,21 @@ def test_parse_rational():
         parse_rational("x")
     with pytest.raises(ParseError):
         parse_rational("1/0")
+
+
+def test_nesting_at_the_limit_parses():
+    depth = MAX_NESTING
+    assert parse_ratfunc("(" * depth + "1 - X" + ")" * depth) == parse_ratfunc("1 - X")
+    # vector exponents and unary signs do not nest
+    assert parse_poly("-" * 500 + "(" * depth + "X^(2,1)" + ")" * depth, rank=2) == parse_poly(
+        "X^(2,1)", rank=2
+    )
+
+
+def test_nesting_past_the_limit_is_a_parse_error():
+    for depth in (MAX_NESTING + 1, 200, 3000):
+        text = "2*" + "(" * depth + "X" + ")" * depth
+        with pytest.raises(ParseError) as info:
+            parse_ratfunc(text)
+        assert info.value.position == 2 + MAX_NESTING  # the first '(' too deep
+        assert "nested" in str(info.value)
