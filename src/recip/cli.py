@@ -172,8 +172,15 @@ def _cmd_oracle(args) -> dict:
     return payload
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reports a usage error on one stderr line."""
+
+    def error(self, message: str):
+        self.exit(USAGE_ERROR, f"usage error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="recip",
         description="Exact computations around reciprocal complements of semigroup algebras.",
     )
@@ -244,10 +251,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:
         payload = args.handler(args)
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return PARSE_ERROR
-    except json.JSONDecodeError as exc:
+    except (ParseError, json.JSONDecodeError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return PARSE_ERROR
     except SystemExit as exc:

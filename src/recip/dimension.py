@@ -161,24 +161,29 @@ def _materialize(
 
     def whole(value: Fraction) -> int:
         scaled = value * scale
-        assert scaled.denominator == 1
+        if scaled.denominator != 1:
+            raise RuntimeError("si_witness: a scaled multiplier is not an integer")
         return scaled.numerator
 
     witness = [0] * M.rank
     for mult, g in zip(gen_mult, gens):
         count = whole(mult)
-        assert count >= 0
+        if count < 0:
+            raise RuntimeError("si_witness: a generator multiplier is negative")
         for c in range(M.rank):
             witness[c] += count * g[c]
     for mult, f in zip(fam_mult, used):
         count = whole(mult)
-        assert count >= 1
+        if count < 1:
+            raise RuntimeError("si_witness: a used family's multiplier is below 1")
         for c in range(M.rank):
             witness[c] += count * f.base[c]
     for c, shift in shifts.items():
         witness[c] += whole(shift)
-    assert all(witness[c] == 0 for c in range(target))
-    assert witness[target] >= 1
+    if any(witness[c] != 0 for c in range(target)):
+        raise RuntimeError("si_witness: the witness is nonzero before the stratum coordinate")
+    if witness[target] < 1:
+        raise RuntimeError("si_witness: the witness is not positive at the stratum coordinate")
     return tuple(witness)
 
 

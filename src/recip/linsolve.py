@@ -114,7 +114,8 @@ def fm_witness(
         candidate = (bound - rest) / coeffs[nvars - 1]  # negative pivot flips the bound
         lo = candidate if lo is None else max(lo, candidate)
     if lo is not None and hi is not None:
-        assert lo <= hi, "Fourier-Motzkin interval must be nonempty"
+        if lo > hi:
+            raise RuntimeError("fm_witness: the back-substitution interval is empty")
         value = (lo + hi) / 2
     elif lo is not None:
         value = lo

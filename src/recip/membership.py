@@ -177,7 +177,7 @@ def brute_force_witness(
     pool = sorted({as_fraction(c) for c in coeff_pool})
     if not pool or any(c == 0 for c in pool):
         raise ValueError("coefficient pool must be nonzero")
-    members = [n for n in range(max_degree + 1) if S.contains(n)]
+    members = list(S.members_up_to(max_degree))
 
     # Stage 1: single denominators with small support.
     for m in members:
@@ -238,7 +238,7 @@ def random_reciprocal_sum(
 ) -> ReciprocalSum:
     """A seeded random formal sum of reciprocals of algebra elements of S."""
     pool = [as_fraction(c) for c in coeff_pool]
-    members = [n for n in range(max_degree + 1) if S.contains(n)]
+    members = list(S.members_up_to(max_degree))
     denominators = []
     for _ in range(rng.randint(1, max_terms)):
         width = rng.randint(1, min(3, len(members)))

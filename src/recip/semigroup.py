@@ -2,8 +2,19 @@
 
 A numerical semigroup is a cofinite additive submonoid of the nonnegative
 integers, stored with its minimal generating set, gap set, Frobenius number
-(largest gap, -1 when the semigroup is all of N), and conductor
-(Frobenius + 1).  ``ns_create`` refuses conductors above ``MAX_CONDUCTOR``.
+(largest gap, -1 when the semigroup is all of N), conductor (Frobenius + 1),
+and its members below the conductor as the set bits of one Python int
+(bit n set when n is in S).  ``ns_create`` refuses conductors above
+``MAX_CONDUCTOR``.
+
+Every semigroup here comes from one routine, ``_close``, which closes a
+bitset under adding a step by shifts of step, 2*step, 4*step, ... below a
+size: after k shifts each member x has brought in x + j*step for j < 2^k.
+``ns_create`` closes {0} under each generator; the Schur bound
+F(S) <= (g_1 - 1)(g_k - 1) - 1 on the Frobenius number (Ramirez Alfonsin,
+*The Diophantine Frobenius Problem*, 2005) fixes the size in advance.  The
+minimal generators are found the same way: the smallest member that the
+generators found so far do not reach is the next one.
 
 The derived semigroup S' is generated by all values
 
@@ -13,7 +24,7 @@ Writing such a value as t = s + sum(s - s_i) shows t >= s + (n-1) and that
 everything at or beyond the conductor of S is already in S, so only targets
 below the conductor matter.  For each member s, the sums x of differences
 s - m (m in S, 0 < m < s) with s + x below the conductor are the set bits
-of one Python int, closed under each difference d by shifts of d, 2d, 4d, ...
+of one Python int, the closure of {0} under each difference.
 The values s + x are closed under addition (the differences of s1 and of s2
 are differences of s1 + s2), so with 0 they are the members of S' there.
 """
@@ -25,6 +36,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
 
+from .laurent import LimitExceeded
+
 
 @dataclass(frozen=True)
 class NumericalSemigroup:
@@ -32,14 +45,12 @@ class NumericalSemigroup:
     gaps: tuple[int, ...]  # positive integers not in S, ascending
     frobenius: int  # largest gap, -1 for S = N
     conductor: int  # frobenius + 1
-    table: tuple[bool, ...]  # membership for 0 <= n < conductor
+    members: int  # bit n set when n is in S, for 0 <= n < conductor
 
     def contains(self, n: int) -> bool:
         if n < 0:
             return False
-        if n >= self.conductor:
-            return True
-        return self.table[n]
+        return n >= self.conductor or bool(self.members >> n & 1)
 
     @property
     def multiplicity(self) -> int:
@@ -56,20 +67,24 @@ class NumericalSemigroup:
         return f"<{', '.join(map(str, self.generators))}>"
 
 
-MAX_CONDUCTOR = 10_000  # derive_sprime takes about 2 s at this conductor (2-vCPU VM)
+MAX_CONDUCTOR = 10_000  # derive_sprime takes about 0.06 s at this conductor (2-vCPU VM)
 
 
-class LimitExceeded(ValueError):
-    """The input describes a semigroup beyond a declared size limit."""
+def _close(bits: int, step: int, size: int) -> int:
+    """Close the set bits of ``bits`` under adding ``step``, below ``size``."""
+    mask = (1 << size) - 1
+    while step < size:
+        bits |= (bits << step) & mask
+        step <<= 1
+    return bits
 
 
 def ns_create(gens: Iterable[int]) -> NumericalSemigroup:
     """Build the numerical semigroup generated by ``gens``.
 
     Requires a nonempty list of positive integers with gcd 1 (otherwise the
-    monoid is not cofinite in N).  Redundant generators are dropped; gaps,
-    Frobenius number, and conductor are computed by dynamic programming;
-    a conductor above ``MAX_CONDUCTOR`` raises LimitExceeded.
+    monoid is not cofinite in N).  Redundant generators are dropped; a
+    conductor above ``MAX_CONDUCTOR`` raises LimitExceeded.
     """
     gens = sorted(set(gens))
     if not gens:
@@ -79,39 +94,36 @@ def ns_create(gens: Iterable[int]) -> NumericalSemigroup:
     if math.gcd(*gens) != 1:
         raise ValueError("generators must have gcd 1")
 
-    multiplicity = gens[0]
-    table = [True]  # table[n] says whether n is representable
-    run = 1 if multiplicity == 1 else 0
-    n = 0
-    # The loop stops after the first run of `multiplicity` consecutive
-    # members; adding multiples of the multiplicity, everything from its
-    # start on is a member.  The conductor is at least the current run's start.
-    while run < multiplicity:
-        n += 1
-        member = any(g <= n and table[n - g] for g in gens)
-        table.append(member)
-        run = run + 1 if member else 0
-        if n - run >= MAX_CONDUCTOR:
-            raise LimitExceeded(f"semigroup conductor exceeds the limit {MAX_CONDUCTOR}")
-    return _from_table(table)
+    # The Frobenius number F is below (g_1 - 1)(g_k - 1).  When F >= MAX_CONDUCTOR,
+    # a gap at or above MAX_CONDUCTOR shows below 2 * MAX_CONDUCTOR + 1: F itself,
+    # or one of the g_1 consecutive integers from MAX_CONDUCTOR on (they are all
+    # below F, and g_1 members in a row would leave no gap after them), or, when
+    # g_1 > MAX_CONDUCTOR, MAX_CONDUCTOR itself.
+    size = min((gens[0] - 1) * (gens[-1] - 1), 2 * MAX_CONDUCTOR) + 1
+    bits = 1
+    for g in gens:
+        bits = _close(bits, g, size)
+    if (~bits & ((1 << size) - 1)).bit_length() > MAX_CONDUCTOR:  # the conductor
+        raise LimitExceeded(f"semigroup conductor exceeds the limit {MAX_CONDUCTOR}")
+    return _from_bits(bits, size)
 
 
-def _from_table(table: list[bool]) -> NumericalSemigroup:
-    """The semigroup with the members flagged in ``table`` and all n >= len(table)."""
-    gaps = tuple(k for k in range(1, len(table)) if not table[k])
-    conductor = gaps[-1] + 1 if gaps else 0
-
-    def is_member(k: int) -> bool:
-        return k >= conductor or table[k]
-
-    multiplicity = next(k for k in range(1, conductor + 2) if is_member(k))
-    # A sum of two nonzero members is a minimal generator plus a nonzero
-    # member, so each candidate is tested against the generators found so far.
-    minimal: list[int] = []
-    for candidate in range(1, conductor + multiplicity + 1):
-        if is_member(candidate) and not any(is_member(candidate - g) for g in minimal):
-            minimal.append(candidate)
-    return NumericalSemigroup(tuple(minimal), gaps, conductor - 1, conductor, tuple(table[:conductor]))
+def _from_bits(bits: int, size: int) -> NumericalSemigroup:
+    """The semigroup whose members below ``size`` are the set bits of
+    ``bits`` and which holds every n >= size."""
+    gap_bits = ~bits & ((1 << size) - 1)
+    conductor = gap_bits.bit_length()
+    members = bits & ((1 << conductor) - 1)
+    # Every minimal generator is below conductor + multiplicity <= 2*conductor + 1.
+    window = 2 * conductor + 2
+    everything = members | ((1 << window) - (1 << conductor))
+    generators: list[int] = []
+    reached = 1
+    while unreached := everything & ~reached:  # its lowest bit is the next generator
+        generators.append((unreached & -unreached).bit_length() - 1)
+        reached = _close(reached, generators[-1], window)
+    gaps = tuple(n for n in range(conductor) if gap_bits >> n & 1)
+    return NumericalSemigroup(tuple(generators), gaps, conductor - 1, conductor, members)
 
 
 @lru_cache(maxsize=None)
@@ -121,19 +133,18 @@ def derive_sprime(S: NumericalSemigroup) -> NumericalSemigroup:
     S is contained in S' and both share the same smallest nonzero element.
     """
     conductor = S.conductor
-    sprime = 1  # bit t says whether t < conductor is in S'
-    for s in [m for m in range(1, conductor) if S.table[m]]:
+    # Bit conductor - 1 - n of the mirror says n is in S, so bit d of
+    # mirror >> (conductor - 1 - s) says s - d is in S.
+    mirror = int(f"{S.members:0{conductor}b}"[::-1], 2)
+    sprime = 0  # bit t says whether t < conductor is in S'
+    for s in S.members_up_to(conductor - 1):
         limit = conductor - s  # targets s + x with x < limit stay below the conductor
-        mask = (1 << limit) - 1
+        todo = mirror >> (conductor - 1 - s) & ((1 << min(s, limit)) - 1) & ~1  # differences d
         reach = 1
-        for d in range(1, min(s, limit)):  # differences s - m, smallest first
-            if S.table[s - d] and not reach >> d & 1:  # a reach holding d is closed under d
-                step = d
-                while step < limit:
-                    reach |= (reach << step) & mask
-                    step <<= 1
+        while todo := todo & ~reach:  # a reach holding d is closed under d
+            reach = _close(reach, (todo & -todo).bit_length() - 1, limit)
         sprime |= reach << s
-    return _from_table([bit == "1" for bit in reversed(f"{sprime:0{conductor}b}")])
+    return _from_bits(sprime, conductor)
 
 
 def sprime_stability_check(S: NumericalSemigroup) -> bool:

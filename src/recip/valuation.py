@@ -14,9 +14,11 @@ ones, the quotient coefficients are
     c_i = (a_i - u*b_i - sum_{j+k=i, j,k>=1} b_j c_k) / lc(b),  i = 1..e,
 
 giving q = u*y^e + sum c_i y^(e-i) and r = a - b*q with deg r < deg b or
-r = 0.  Since quotient and remainder with deg r < deg b are unique, this
-agrees with classical long division (``classical_divide``), which is kept as
-an independent cross-check.
+r = 0.  Only j <= deg b has b_j != 0, so the recursion costs O(e * deg b)
+steps; a dividend of degree above ``laurent.MAX_DEGREE`` is refused.  Since
+quotient and remainder with deg r < deg b are unique, this agrees with
+classical long division (``classical_divide``), which is kept as an
+independent cross-check.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .laurent import LaurentPolynomial, poly_divmod
+from .laurent import MAX_DEGREE, LaurentPolynomial, LimitExceeded, poly_divmod
 from .ratfunc import RationalFunction
 
 
@@ -110,6 +112,7 @@ def euclid_divide(
     Returns (q, r) with a = b*q + r and r = 0 or deg r < deg b.  When b
     divides a the recursion yields r = 0 on its own (the pair with
     deg r < deg b is unique), and deg a < deg b short-circuits to (0, a).
+    Otherwise a degree of a above ``MAX_DEGREE`` raises LimitExceeded.
     """
     for poly in (a, b):
         if poly.rank != 1:
@@ -124,13 +127,15 @@ def euclid_divide(
     deg_b = b.degree()
     if deg_a < deg_b:
         return LaurentPolynomial.zero(1), a
+    if deg_a > MAX_DEGREE:
+        raise LimitExceeded(f"polynomial degree exceeds the limit {MAX_DEGREE}")
     e = deg_a - deg_b
     u2 = b.coeff((deg_b,))
     u = a.coeff((deg_a,)) / u2
     c: dict[int, Fraction] = {}
     for i in range(1, e + 1):
         tail = sum(
-            (b.coeff((deg_b - j,)) * c[i - j] for j in range(1, i)), Fraction(0)
+            (b.coeff((deg_b - j,)) * c[i - j] for j in range(1, min(i, deg_b + 1))), Fraction(0)
         )
         c[i] = (a.coeff((deg_a - i,)) - u * b.coeff((deg_b - i,)) - tail) / u2
     q = LaurentPolynomial(1, {(e,): u, **{(e - i,): c[i] for i in range(1, e + 1) if c[i] != 0}})

@@ -113,6 +113,19 @@ def test_conductor_limit_exits_two_quickly():
     assert err.startswith("error: ") and "limit" in err and err.count("\n") == 1
 
 
+def test_degree_limit_exits_two_quickly():
+    for argv in (
+        ("member", "--gens", "4,7,9", "--expr", "(X^100000000 + 1)/(X + 2)"),
+        ("member", "--gens", "4,7,9", "--expr", "1/(X^3000000+1) + 1/(X^2+1)"),
+        ("divide", "--a", "X^100000000 + 1", "--b", "X + 1"),
+    ):
+        start = time.perf_counter()
+        code, out, err = run_cli(*argv)
+        assert time.perf_counter() - start < 1.0, argv
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: ") and "limit" in err and err.count("\n") == 1, argv
+
+
 def test_wide_membership_system_is_fast():
     # F(S') = 3999: the certificate system has 4,000 sparse rows.
     start = time.perf_counter()

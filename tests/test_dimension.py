@@ -1,9 +1,12 @@
 """Stratum emptiness, witnesses, and dimension reports for lex monoids."""
 
 import random
+import types
+from fractions import Fraction
 
 import pytest
 
+from recip import dimension
 from recip.dimension import (
     EXACT_ALL_NONEMPTY,
     EXACT_FREE_SHIFT,
@@ -113,6 +116,27 @@ def test_witnesses_scale_from_fractional_solutions():
     assert witness is not None
     assert witness[0] == 0 and witness[1] >= 1
     assert in_monoid_span(M, witness)
+
+
+@pytest.mark.parametrize(
+    "monoid, i, solution, broken",
+    [
+        (NN2, 1, [Fraction(-1), Fraction(0)], "generator multiplier is negative"),
+        (EX_FAMILY, 1, [Fraction(-1)], "multiplier is below 1"),
+        (NN2, 2, [Fraction(1), Fraction(1)], "nonzero before the stratum coordinate"),
+        (NN2, 1, [Fraction(0), Fraction(1)], "not positive at the stratum coordinate"),
+        (NN2, 1, [Fraction(1, 2), Fraction(0)], "not an integer"),
+    ],
+)
+def test_witness_postconditions_are_explicit_checks(monkeypatch, monoid, i, solution, broken):
+    # A wrong case solution must raise even under python -O, which strips asserts.
+    monkeypatch.setattr(
+        dimension, "fm_witness", lambda constraints, nvars: solution if nvars == len(solution) else None
+    )
+    if broken == "not an integer":
+        monkeypatch.setattr(dimension, "math", types.SimpleNamespace(lcm=lambda *values: 1))
+    with pytest.raises(RuntimeError, match=broken):
+        si_witness(monoid, i)
 
 
 def test_monotonicity_adding_generators_preserves_nonempty_strata():

@@ -6,13 +6,17 @@ from fractions import Fraction
 import pytest
 
 from recip.laurent import (
+    MAX_DEGREE,
     LaurentPolynomial,
+    LimitExceeded,
     dense_coeffs,
     format_poly,
     from_dense,
     poly_divmod,
     poly_gcd,
 )
+
+from recip.parse import parse_poly
 
 from conftest import random_poly
 
@@ -100,6 +104,17 @@ def test_dense_round_trip():
     p = from_dense([1, 0, Fraction(3, 2)])
     assert dense_coeffs(p) == [1, 0, Fraction(3, 2)]
     assert p.degree() == 2
+
+
+def test_dense_path_refuses_degrees_above_the_limit():
+    assert len(dense_coeffs(LaurentPolynomial.monomial(1, (MAX_DEGREE,)))) == MAX_DEGREE + 1
+    with pytest.raises(LimitExceeded):
+        dense_coeffs(LaurentPolynomial.monomial(1, (MAX_DEGREE + 1,)))
+    huge = parse_poly("X^100000000 + 1")
+    with pytest.raises(LimitExceeded):
+        poly_gcd(huge, parse_poly("X + 2"))
+    with pytest.raises(LimitExceeded):
+        poly_divmod(huge, parse_poly("X + 2"))
 
 
 def test_poly_divmod_classical():

@@ -3,6 +3,9 @@
 import random
 from fractions import Fraction
 
+import pytest
+
+from recip import linsolve
 from recip.linsolve import fm_witness, solve_affine
 
 F = Fraction
@@ -164,3 +167,15 @@ def test_fm_random_feasible_systems_give_valid_points():
         assert point is not None  # center satisfies everything
         for coeffs, bound in constraints:
             assert sum((a * x for a, x in zip(coeffs, point)), F(0)) <= bound
+
+
+def test_fm_interval_postcondition_is_an_explicit_check(monkeypatch):
+    # x1 <= x0 and x1 >= 1 - x0 need x0 >= 1/2; a recursion that hands back
+    # x0 = 0 leaves the interval [1, 0], which must raise even under python -O.
+    def wrong_recursion(constraints, nvars):
+        return fm_witness(constraints, nvars) if nvars == 2 else [F(0)]
+
+    monkeypatch.setattr(linsolve, "fm_witness", wrong_recursion)
+    constraints = [((F(-1), F(1)), F(0)), ((F(-1), F(-1)), F(-1))]
+    with pytest.raises(RuntimeError, match="interval is empty"):
+        linsolve.fm_witness(constraints, 2)

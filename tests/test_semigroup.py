@@ -88,8 +88,63 @@ def sprime_knapsack(S):
     return ns_create(sorted(set(S.generators) | extra))
 
 
+def table_ns_create(gens):
+    """Invariants of the semigroup of ``gens`` by the bool-table DP that
+    ``ns_create`` used before the bitsets: (generators, gaps, frobenius,
+    conductor, membership table below the conductor)."""
+    gens = sorted(set(gens))
+    multiplicity = gens[0]
+    table = [True]
+    run = 1 if multiplicity == 1 else 0
+    n = 0
+    while run < multiplicity:
+        n += 1
+        member = any(g <= n and table[n - g] for g in gens)
+        table.append(member)
+        run = run + 1 if member else 0
+    return table_invariants(table)
+
+
+def table_invariants(table):
+    """The invariants of the semigroup holding the members flagged in
+    ``table`` and every n >= len(table), by per-candidate scans."""
+    gaps = tuple(k for k in range(1, len(table)) if not table[k])
+    conductor = gaps[-1] + 1 if gaps else 0
+
+    def is_member(k):
+        return k >= conductor or table[k]
+
+    multiplicity = next(k for k in range(1, conductor + 2) if is_member(k))
+    minimal = []
+    for candidate in range(1, conductor + multiplicity + 1):
+        if is_member(candidate) and not any(is_member(candidate - g) for g in minimal):
+            minimal.append(candidate)
+    return tuple(minimal), gaps, conductor - 1, conductor, tuple(table[:conductor])
+
+
+def table_derive_sprime(gens):
+    """S' of the semigroup of ``gens`` by the per-difference bitset scan that
+    ``derive_sprime`` used before ``_close``, as ``table_ns_create`` reports it."""
+    table = table_ns_create(gens)[4]
+    conductor = len(table)
+    sprime = 1
+    for s in [m for m in range(1, conductor) if table[m]]:
+        limit = conductor - s
+        mask = (1 << limit) - 1
+        reach = 1
+        for d in range(1, min(s, limit)):
+            if table[s - d] and not reach >> d & 1:
+                step = d
+                while step < limit:
+                    reach |= (reach << step) & mask
+                    step <<= 1
+        sprime |= reach << s
+    return table_invariants([bit == "1" for bit in reversed(f"{sprime:0{conductor}b}")])
+
+
 def fields(S):
-    return S.generators, S.gaps, S.frobenius, S.conductor, S.table
+    """The invariants of S in the shape the table oracles report them."""
+    return S.generators, S.gaps, S.frobenius, S.conductor, tuple(map(S.contains, range(S.conductor)))
 
 
 # -- construction -------------------------------------------------------------
@@ -174,7 +229,7 @@ def test_ns_create_generators_match_brute_force():
         assert S.generators == tuple(n for n in members if n not in sums), gens
         assert S.gaps == tuple(n for n in range(1, bound + 1) if not table[n]), gens
         assert S.frobenius == max(S.gaps, default=-1) == S.conductor - 1
-        assert S.table == tuple(table[: S.conductor])
+        assert [S.contains(n) for n in range(S.conductor)] == table[: S.conductor]
 
 
 # -- derived semigroup ---------------------------------------------------------
@@ -235,6 +290,38 @@ def test_derive_sprime_top_of_ladder_time_gate():
     assert elapsed < 1.0
 
 
+def test_bitsets_match_table_oracles_on_seeded_semigroups():
+    rng = random.Random(5)
+    cases = [[1], [2, 3], [6, 10, 15], [2, 2001], [41, 43, 47], [45, 52]]
+    while len(cases) < 1000:
+        gens = [rng.randint(2, 50) for _ in range(rng.randint(1, 5))]
+        if math.gcd(*gens) == 1 and table_ns_create(gens)[3] <= 2000:
+            cases.append(gens)
+    assert max(table_ns_create(gens)[3] for gens in cases) > 1500
+    for gens in cases:
+        S = ns_create(gens)
+        expected = table_ns_create(gens)
+        assert fields(S) == expected, gens
+        assert fields(derive_sprime.__wrapped__(S)) == table_derive_sprime(gens), gens
+        assert [S.contains(n) for n in range(-2, S.conductor + 3)] == [False, False] + [
+            n >= S.conductor or expected[4][n] for n in range(S.conductor + 3)
+        ], gens
+
+
+@pytest.mark.parametrize("gens", [[100, 101], [2, 9999]])
+def test_bitsets_match_table_oracles_near_the_conductor_limit(gens):
+    S = ns_create(gens)
+    assert fields(S) == table_ns_create(gens)
+    assert fields(derive_sprime.__wrapped__(S)) == table_derive_sprime(gens)
+
+
+def test_derive_sprime_near_the_conductor_limit_time_gate():
+    S = ns_create([100, 101])  # conductor 9900
+    start = time.perf_counter()
+    derive_sprime.__wrapped__(S)
+    assert time.perf_counter() - start < 0.5
+
+
 def test_conductor_limit():
     assert ns_create([2, MAX_CONDUCTOR + 1]).conductor == MAX_CONDUCTOR
     with pytest.raises(LimitExceeded):
@@ -242,6 +329,8 @@ def test_conductor_limit():
     start = time.perf_counter()
     with pytest.raises(LimitExceeded):
         ns_create([1000003, 1000033])  # conductor about 10^12
+    with pytest.raises(LimitExceeded):
+        ns_create([10**100 + 1, 10**100 + 2])  # multiplicity far past the limit
     assert time.perf_counter() - start < 1.0
 
 

@@ -1,11 +1,12 @@
 """Lex valuation axioms and the reversed-coefficient division recursion."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from recip.laurent import LaurentPolynomial
+from recip.laurent import MAX_DEGREE, LaurentPolynomial, LimitExceeded
 from recip.parse import parse_poly, parse_ratfunc
 from recip.ratfunc import RationalFunction, sigma_map, sigma_of_reciprocal
 from recip import valuation
@@ -176,6 +177,24 @@ def test_divide_postcondition_is_an_explicit_check(monkeypatch):
     monkeypatch.setattr(valuation, "LaurentPolynomial", ZeroQuotient)
     with pytest.raises(RuntimeError):
         euclid_divide(parse_poly("X^3"), parse_poly("X + 1"))
+
+
+def test_divide_near_the_degree_limit_time_gate():
+    # The recursion's tail sum runs over j <= deg b only: O(e * deg b) steps.
+    a = parse_poly(f"X^{MAX_DEGREE} + 1")
+    b = parse_poly("X^2 + X + 1")
+    start = time.perf_counter()
+    q, r = euclid_divide(a, b)
+    assert time.perf_counter() - start < 3.0  # about 1.4 s, half of it in forming b*q
+    assert (q, r) == classical_divide(a, b)
+
+
+def test_divide_refuses_dividends_above_the_degree_limit():
+    with pytest.raises(LimitExceeded):
+        euclid_divide(parse_poly(f"X^{MAX_DEGREE + 1}"), parse_poly("X + 1"))
+    # A dividend below the divisor's degree is its own remainder at any degree.
+    q, r = euclid_divide(parse_poly("X + 1"), parse_poly("X^100000000"))
+    assert q.is_zero() and r == parse_poly("X + 1")
 
 
 def test_divide_contract_and_classical_agreement():
