@@ -2,9 +2,12 @@
 
 Every subcommand prints one JSON object (or key: value lines with
 --format plain) and exits 0 for any computed verdict, including NotMember.
-Exit 2 is a usage error, exit 3 a parse error.  Output is deterministic:
-fixed key order, sorted lists, and an explicit seed echoed by the one
-randomized command.
+Exit 2 is a usage error, exit 3 a parse error; either is one stderr line
+that names the argument (from argparse) or the library check that failed.
+Each semigroup command takes exactly one of --gens and --file (dimension
+also accepts --monoid), and a value may start with a single '-', as in
+--expr -X.  Output is deterministic: fixed key order, sorted lists, and an
+explicit seed echoed by the one randomized command.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from .dimension import (
     monoid_to_json,
     report_to_json,
 )
-from .dplusm import UndecidableError, kplusm_membership
+from .dplusm import kplusm_membership
 from .egyptian import greedy_egyptian
 from .laurent import format_poly
 from .membership import (
@@ -57,12 +60,14 @@ def _semigroup_from_gens(text: str) -> NumericalSemigroup:
     return ns_create([int(g) for g in text.split(",") if g.strip()])
 
 
+def _load_json(path: str):
+    with open(path, "r", encoding="utf-8") as handle:
+        return json.load(handle)
+
+
 def _semigroup_from_args(args) -> NumericalSemigroup:
-    if getattr(args, "file", None):
-        with open(args.file, "r", encoding="utf-8") as handle:
-            return semigroup_from_json(json.load(handle))
-    if args.gens is None:
-        raise SystemExit(USAGE_ERROR)
+    if args.file is not None:
+        return semigroup_from_json(_load_json(args.file))
     return _semigroup_from_gens(args.gens)
 
 
@@ -76,22 +81,12 @@ def _cmd_sprime(args) -> dict:
     return {"sprime_generators": list(derive_sprime(S).generators)}
 
 
-def _verdict_json(verdict) -> dict:
+def _cmd_member(args) -> dict:
+    S = _semigroup_from_args(args)
+    verdict = args.decide(parse_ratfunc(args.expr), S)
     if verdict.is_member:
         return {"status": verdict.status, "certificate": format_poly(verdict.certificate)}
     return {"status": verdict.status, "obstruction": verdict.obstruction}
-
-
-def _cmd_member(args) -> dict:
-    S = _semigroup_from_args(args)
-    r = parse_ratfunc(args.expr)
-    return _verdict_json(decide_membership(r, S))
-
-
-def _cmd_recip_member(args) -> dict:
-    S = _semigroup_from_args(args)
-    r = parse_ratfunc(args.expr)
-    return _verdict_json(in_reciprocal_complement(r, S))
 
 
 def _cmd_valuation(args) -> dict:
@@ -101,24 +96,17 @@ def _cmd_valuation(args) -> dict:
 
 
 def _cmd_divide(args) -> dict:
-    a = parse_poly(args.a)
-    b = parse_poly(args.b)
-    if b.is_zero():
-        raise SystemExit(USAGE_ERROR)
-    q, r = euclid_divide(a, b)
+    q, r = euclid_divide(parse_poly(args.a), parse_poly(args.b))
     return {"q": format_poly(q), "r": format_poly(r)}
 
 
 def _cmd_dimension(args) -> dict:
-    if args.monoid:
-        monoid = monoid_from_json(json.loads(args.monoid))
-    elif getattr(args, "file", None):
-        with open(args.file, "r", encoding="utf-8") as handle:
-            monoid = monoid_from_json(json.load(handle))
-    elif args.gens:
+    if args.gens is not None:
         monoid = monoid_from_semigroup(_semigroup_from_gens(args.gens))
+    elif args.file is not None:
+        monoid = monoid_from_json(_load_json(args.file))
     else:
-        raise SystemExit(USAGE_ERROR)
+        monoid = monoid_from_json(json.loads(args.monoid))
     return report_to_json(dimension_report(monoid))
 
 
@@ -150,10 +138,7 @@ def _cmd_kplusm(args) -> dict:
 
 
 def _cmd_egyptian(args) -> dict:
-    value = parse_rational(args.value)
-    if not 0 < value <= 1:
-        raise SystemExit(USAGE_ERROR)
-    return {"denominators": list(greedy_egyptian(value).denominators)}
+    return {"denominators": list(greedy_egyptian(parse_rational(args.value)).denominators)}
 
 
 def _cmd_oracle(args) -> dict:
@@ -173,10 +158,26 @@ def _cmd_oracle(args) -> dict:
 
 
 class _Parser(argparse.ArgumentParser):
-    """An argument parser that reports a usage error on one stderr line."""
+    """An argument parser that reports a usage error on one stderr line and
+    reads a token starting with a single '-' as a value, such as -X or -1/2,
+    unless it is a declared option string such as -h."""
 
     def error(self, message: str):
         self.exit(USAGE_ERROR, f"usage error: {message}\n")
+
+    def _parse_optional(self, arg_string):
+        # argparse reads None as "not an option", so the token becomes a value.
+        if arg_string.startswith("--") or arg_string in self._option_string_actions:
+            return super()._parse_optional(arg_string)
+        return None
+
+
+def _add_source(p, file_help='JSON file with {"generators": [...]}'):
+    """The one required input of a semigroup command: --gens or --file."""
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--gens", help="comma-separated generators, e.g. 4,7,9")
+    group.add_argument("--file", help=file_help)
+    return group
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -187,52 +188,43 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("json", "plain"), default="json")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        p.set_defaults(handler=handler)
+    def add(name, handler, summary, **defaults):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(handler=handler, **defaults)
         return p
 
-    p = add("semigroup", _cmd_semigroup, help="semigroup invariants plus derived generators")
-    p.add_argument("--gens", help="comma-separated generators, e.g. 4,7,9")
-    p.add_argument("--file", help="JSON file with {\"generators\": [...]}")
+    _add_source(add("semigroup", _cmd_semigroup, "semigroup invariants plus derived generators"))
+    _add_source(add("sprime", _cmd_sprime, "generators of the derived semigroup"))
 
-    p = add("sprime", _cmd_sprime, help="generators of the derived semigroup")
-    p.add_argument("--gens")
-    p.add_argument("--file")
-
-    for name, handler in (("member", _cmd_member), ("recip-member", _cmd_recip_member)):
-        p = add(name, handler, help=f"{name} verdict with certificate or obstruction")
-        p.add_argument("--gens")
-        p.add_argument("--file")
+    for name, decide in (("member", decide_membership), ("recip-member", in_reciprocal_complement)):
+        p = add(name, _cmd_member, f"{name} verdict with certificate or obstruction", decide=decide)
+        _add_source(p)
         p.add_argument("--expr", required=True)
 
-    p = add("valuation", _cmd_valuation, help="lex valuation of a rational function")
+    p = add("valuation", _cmd_valuation, "lex valuation of a rational function")
     p.add_argument("--rank", type=int, default=1)
     p.add_argument("--expr", required=True)
 
-    p = add("divide", _cmd_divide, help="Euclidean division of rank-1 polynomials")
+    p = add("divide", _cmd_divide, "Euclidean division of rank-1 polynomials")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
 
-    p = add("dimension", _cmd_dimension, help="stratum flags and dimension report")
-    p.add_argument("--gens")
-    p.add_argument("--monoid", help="inline monoid JSON")
-    p.add_argument("--file", help="monoid JSON file")
+    p = add("dimension", _cmd_dimension, "stratum flags and dimension report")
+    _add_source(p, "monoid JSON file").add_argument("--monoid", help="inline monoid JSON")
 
-    p = add("thm56", _cmd_thm56, help="free-shift family monoid and its report")
+    p = add("thm56", _cmd_thm56, "free-shift family monoid and its report")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
 
-    p = add("kplusm", _cmd_kplusm, help="K + m membership for the m = 1 family")
+    p = add("kplusm", _cmd_kplusm, "K + m membership for the m = 1 family")
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--expr", required=True)
 
-    p = add("egyptian", _cmd_egyptian, help="greedy unit-fraction decomposition")
+    p = add("egyptian", _cmd_egyptian, "greedy unit-fraction decomposition")
     p.add_argument("value")
 
-    p = add("oracle", _cmd_oracle, help="seeded brute-force reciprocal-sum witness search")
-    p.add_argument("--gens")
-    p.add_argument("--file")
+    p = add("oracle", _cmd_oracle, "seeded brute-force reciprocal-sum witness search")
+    _add_source(p)
     p.add_argument("--expr", required=True)
     p.add_argument("--max-terms", type=int, default=3, help="summand bound (default 3)")
     p.add_argument("--max-degree", type=int, default=12, help="denominator degree bound (default 12)")
@@ -247,19 +239,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else USAGE_ERROR
+    except SystemExit as exc:  # argparse's own exit: help (0) or a usage error (2)
+        return exc.code
     try:
         payload = args.handler(args)
     except (ParseError, json.JSONDecodeError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return PARSE_ERROR
-    except SystemExit as exc:
-        code = exc.code if isinstance(exc.code, int) else USAGE_ERROR
-        if code == USAGE_ERROR:
-            print("usage error: missing or inconsistent arguments", file=sys.stderr)
-        return code
-    except (ValueError, ZeroDivisionError, OSError, KeyError, UndecidableError) as exc:
+    except (ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     _emit(payload, args.format)

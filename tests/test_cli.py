@@ -229,16 +229,52 @@ def test_oracle_none_within_bounds():
     assert payload["witness"] is None
 
 
-def test_usage_errors_exit_two():
-    code, _, _ = run_cli("unknown-command")
-    assert code == 2
-    code, _, _ = run_cli("member", "--gens", "4,7,9")  # missing --expr
-    assert code == 2
-    code, _, err = run_cli("sprime", "--gens", "4,6")  # gcd != 1
-    assert code == 2
-    assert "gcd" in err
-    code, _, _ = run_cli("egyptian", "3/2")  # out of range
-    assert code == 2
+def test_usage_errors_exit_two(tmp_path):
+    path = tmp_path / "semigroup.json"
+    path.write_text('{"generators": [5, 7]}', encoding="utf-8")
+    monoid = '{"rank":2,"generators":[[1,0],[0,1]],"families":[]}'
+    # Each usage error is one stderr line naming the argument or the check.
+    for argv, names in (
+        (("unknown-command",), ["invalid choice", "unknown-command"]),
+        (("member", "--gens", "4,7,9"), ["--expr", "required"]),
+        (("sprime", "--gens", "4,6"), ["gcd"]),
+        (("egyptian", "3/2"), ["(0, 1]"]),
+        (("egyptian", "5/4"), ["(0, 1]"]),
+        (("egyptian", "-1/2"), ["(0, 1]"]),
+        (("divide", "--a", "X", "--b", "0"), ["division by zero"]),
+        (("semigroup",), ["--gens", "--file", "required"]),
+        (("dimension",), ["--gens", "--file", "--monoid", "required"]),
+        (("semigroup", "--gens", "4,7", "--file", str(path)), ["--gens", "--file", "not allowed"]),
+        (("sprime", "--file", str(path), "--gens", "4,7"), ["--gens", "--file", "not allowed"]),
+        (("dimension", "--gens", "4,7,9", "--monoid", monoid), ["--gens", "--monoid", "not allowed"]),
+        (("dimension", "--monoid", monoid, "--file", str(path)), ["--file", "--monoid", "not allowed"]),
+        (("semigroup", "--file", str(tmp_path / "missing.json")), ["No such file", "missing.json"]),
+    ):
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (2, ""), argv
+        assert err.count("\n") == 1 and err.startswith(("usage error: ", "error: ")), (argv, err)
+        assert all(name in err for name in names), (argv, err)
+        assert "missing or inconsistent" not in err, argv
+
+
+def test_values_may_start_with_a_dash():
+    for argv, expected in (
+        (("member", "--gens", "4,7,9", "--expr", "-X"),
+         '{"status":"NotMember","obstruction":"LinearSystemInfeasible"}\n'),
+        (("member", "--gens", "4,7,9", "--expr", "-X^4/(X^4-1)"), '{"status":"Member","certificate":"1"}\n'),
+        (("divide", "--a", "-X", "--b", "X"), '{"q":"-1","r":"0"}\n'),
+        (("valuation", "--rank", "2", "--expr", "-X^(1,0)"), '{"valuation":[1,0]}\n'),
+        (("kplusm", "--n", "2", "--expr", "-5 + (X/(X^2+1))*Y^-1"),
+         '{"status":"Member","constantPart":"-5","maximalPart":"X/(Y + Y*X^2)"}\n'),
+    ):
+        assert run_cli(*argv) == (0, expected, ""), argv
+        equals_form = [f"{token}={value}" for token, value in zip(argv[1::2], argv[2::2])]
+        assert run_cli(argv[0], *equals_form) == (0, expected, ""), argv
+    # A declared option string is still an option: -h prints help.
+    code, out, err = run_cli("member", "-h")
+    assert (code, err) == (0, "") and out.startswith("usage: recip member")
+    code, out, err = run_cli("member", "--gens", "4,7,9", "--expr", "-h")
+    assert (code, out) == (2, "") and "--expr" in err and err.count("\n") == 1
 
 
 def test_parse_errors_exit_three():
