@@ -55,7 +55,6 @@ from .dimension import (
 )
 from .dplusm import (
     KPlusMVerdict,
-    UndecidableError,
     check_dplusm_decomposition,
     kplusm_membership,
 )
@@ -73,7 +72,6 @@ __all__ = [
     "RationalFunction",
     "ReciprocalSum",
     "ShiftFamily",
-    "UndecidableError",
     "ValuationValue",
     "algebraic_reciprocal",
     "brute_force_witness",

@@ -72,8 +72,7 @@ def _semigroup_from_args(args) -> NumericalSemigroup:
 
 
 def _cmd_semigroup(args) -> dict:
-    S = _semigroup_from_args(args)
-    return semigroup_to_json(S, sprime=derive_sprime(S))
+    return semigroup_to_json(_semigroup_from_args(args))
 
 
 def _cmd_sprime(args) -> dict:

@@ -13,8 +13,10 @@ leaders.  A negative order is a pole at T = 0; order zero evaluates at T = 0
 to the ratio of the top Y-coefficients, which must be a plain rational for
 membership; positive order means constant part 0.
 
-Only the one-Y case (m = 1) is decidable here; larger m raises membership
-questions with no decision procedure, so it fails loudly.
+The X block enters only through that ratio: the top Y-coefficients are
+compared by scaling one onto the other, so no gcd is taken.  The Y-adic
+test on the sigma side is this decider composed with ``sigma_map``, as in
+``membership.in_reciprocal_complement``.
 """
 
 from __future__ import annotations
@@ -29,10 +31,6 @@ MEMBER = "Member"
 NOT_MEMBER = "NotMember"
 
 
-class UndecidableError(ValueError):
-    """Raised for parameter ranges this artifact cannot decide."""
-
-
 @dataclass(frozen=True)
 class KPlusMVerdict:
     status: str
@@ -44,61 +42,47 @@ class KPlusMVerdict:
         return self.status == MEMBER
 
 
-def _y_extreme(poly: LaurentPolynomial, top: bool) -> tuple[int, LaurentPolynomial]:
-    """The extreme Y-degree of a nonzero polynomial and its coefficient,
-    projected onto the X block (coordinate 0 is Y)."""
-    degrees = [e[0] for e in poly.support()]
-    j = max(degrees) if top else min(degrees)
-    coeff = LaurentPolynomial(
-        poly.rank - 1, [(e[1:], c) for e, c in poly.terms() if e[0] == j]
-    )
-    return j, coeff
+def _top_y(poly: LaurentPolynomial) -> tuple[int, Fraction, LaurentPolynomial]:
+    """The top Y-degree of a nonzero polynomial, its lex-max coefficient and
+    its terms of top Y-degree (coordinate 0 is Y, so the lex-max exponent
+    has the top Y-degree)."""
+    lead = poly.lex_max_exponent()
+    top = LaurentPolynomial(poly.rank, [(e, c) for e, c in poly.terms() if e[0] == lead[0]])
+    return lead[0], poly.coeff(lead), top
 
 
-def uniformizer_order(r: RationalFunction, *, sigma_side: bool = False) -> int | None:
-    """ord_T(r) with T = Y^(-1) (or ord_Y when sigma_side), None for r = 0."""
+def uniformizer_order(r: RationalFunction) -> int | None:
+    """ord_T(r) with T = Y^(-1), None for r = 0."""
     if r.is_zero():
         return None
-    if sigma_side:
-        jp, _ = _y_extreme(r.num, top=False)
-        jq, _ = _y_extreme(r.den, top=False)
-        return jp - jq
-    jp, _ = _y_extreme(r.num, top=True)
-    jq, _ = _y_extreme(r.den, top=True)
-    return jq - jp
+    return r.den.lex_max_exponent()[0] - r.num.lex_max_exponent()[0]
 
 
-def kplusm_membership(
-    r: RationalFunction, n: int, m: int = 1, *, sigma_side: bool = False
-) -> KPlusMVerdict:
+def kplusm_membership(r: RationalFunction, n: int) -> KPlusMVerdict:
     """Decide r in K + m for the free-shift family with m = 1.
 
     On Member, constant_part + maximal_part re-sums exactly to r and the
-    maximal part has uniformizer order >= 1.  ``sigma_side`` runs the test in
-    the image coordinates where Y itself is the uniformizer.
+    maximal part has uniformizer order >= 1.
     """
-    if m != 1:
-        raise UndecidableError(
-            f"membership for m = {m} is undecidable in this artifact; only m = 1 is supported"
-        )
     if n < 2:
         raise ValueError("need n > m = 1 coordinates")
     if r.rank != n:
         raise ValueError(f"expected a rank-{n} rational function")
     if r.is_zero():
         return KPlusMVerdict(MEMBER, Fraction(0), RationalFunction.zero(n))
-    order = uniformizer_order(r, sigma_side=sigma_side)
-    if order < 0:
+    jp, lead_num, top_num = _top_y(r.num)
+    jq, lead_den, top_den = _top_y(r.den)
+    if jp > jq:
         return KPlusMVerdict(NOT_MEMBER)
-    if order > 0:
+    if jp < jq:
         return KPlusMVerdict(MEMBER, Fraction(0), r)
-    _, cnum = _y_extreme(r.num, top=not sigma_side)
-    _, cden = _y_extreme(r.den, top=not sigma_side)
-    value = RationalFunction(cnum, cden).constant_value()
-    if value is None:
+    # Order zero: the value at T = 0 is top_num/top_den, a constant c exactly
+    # when top_num = c * top_den, and then c is the ratio of the lex-max terms.
+    value = lead_num / lead_den
+    if top_num != top_den.scale(value):
         return KPlusMVerdict(NOT_MEMBER)
     maximal = r - value
-    residual = uniformizer_order(maximal, sigma_side=sigma_side)
+    residual = uniformizer_order(maximal)
     if residual is not None and residual < 1:
         raise RuntimeError("kplusm_membership: maximal part has uniformizer order below 1")
     return KPlusMVerdict(MEMBER, value, maximal)

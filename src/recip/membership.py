@@ -36,7 +36,7 @@ from typing import Iterable, Sequence
 
 from .laurent import LaurentPolynomial, as_fraction
 from .linsolve import solve_affine
-from .ratfunc import RationalFunction, ReciprocalSum, normalize_reciprocal_sum, sigma_map
+from .ratfunc import RationalFunction, ReciprocalSum, sigma_map
 from .semigroup import NumericalSemigroup, derive_sprime
 
 MEMBER = "Member"
@@ -145,6 +145,35 @@ def in_reciprocal_complement(
     return decide_membership(sigma_map(r), S)
 
 
+# Stage 2 of brute_force_witness stops after this many candidate checks.
+_ENUMERATION_BUDGET = 60_000
+
+
+def _sums_to(denominators: Iterable[LaurentPolynomial], r: RationalFunction) -> bool:
+    """Whether sum(1/d_i) = r, decided by clearing denominators: the sum is
+    accumulated as one unreduced fraction N/D and N * den(r) = num(r) * D is
+    checked, so no gcd is taken."""
+    num, den = LaurentPolynomial.zero(1), LaurentPolynomial.one(1)
+    for d in denominators:
+        num, den = num * d + den, den * d
+    return num * r.den == r.num * den
+
+
+def _random_denominators(
+    rng: random.Random, members: list[int], pool: Sequence[Fraction], max_terms: int
+) -> tuple[LaurentPolynomial, ...]:
+    """1..max_terms seeded random algebra elements with up to three support
+    points each, coefficients drawn from the pool."""
+    denominators = []
+    for _ in range(rng.randint(1, max_terms)):
+        width = rng.randint(1, min(3, len(members)))
+        support = rng.sample(members, width)
+        denominators.append(
+            LaurentPolynomial(1, {(m,): rng.choice(pool) for m in support})
+        )
+    return tuple(denominators)
+
+
 def brute_force_witness(
     r: RationalFunction,
     S: NumericalSemigroup,
@@ -154,13 +183,13 @@ def brute_force_witness(
     seed: int,
     *,
     random_trials: int = 400,
-    enumeration_budget: int = 60000,
 ) -> ReciprocalSum | None:
     """Search for denominators d_i over the algebra of S with sum(1/d_i) = r.
 
-    The search is one-sided: a returned witness is exact (it is re-summed and
-    compared), while None only means nothing was found within the bounds,
-    never a non-membership proof.
+    The search is one-sided: a returned witness is exact (its sum is checked
+    against r with denominators cleared, independently of the gcd that
+    normalizes fractions), while None only means nothing was found within
+    the bounds, never a non-membership proof.
 
     Candidates are tried in a documented, deterministic order so the first
     witness found is reproducible:
@@ -168,7 +197,7 @@ def brute_force_witness(
     1. single denominators with one or two support points (ascending support,
        then pool order for coefficients);
     2. multisets of 2..max_terms monomial denominators in lexicographic
-       order, up to ``enumeration_budget`` checks;
+       order, up to 60,000 checks;
     3. ``random_trials`` seeded random candidates with up to three support
        points per denominator.
     """
@@ -180,52 +209,35 @@ def brute_force_witness(
     members = list(S.members_up_to(max_degree))
 
     # Stage 1: single denominators with small support.
-    for m in members:
-        for c in pool:
-            d = LaurentPolynomial(1, {(m,): c})
-            if normalize_reciprocal_sum([d]) == r:
-                return ReciprocalSum((d,))
-    for m1, m2 in itertools.combinations(members, 2):
-        for c1 in pool:
-            for c2 in pool:
-                d = LaurentPolynomial(1, {(m1,): c1, (m2,): c2})
-                if normalize_reciprocal_sum([d]) == r:
-                    return ReciprocalSum((d,))
+    singles = itertools.chain(
+        (LaurentPolynomial(1, {(m,): c}) for m in members for c in pool),
+        (
+            LaurentPolynomial(1, {(m1,): c1, (m2,): c2})
+            for m1, m2 in itertools.combinations(members, 2)
+            for c1 in pool
+            for c2 in pool
+        ),
+    )
+    for d in singles:
+        if _sums_to((d,), r):
+            return ReciprocalSum((d,))
 
     # Stage 2: multisets of monomial denominators.
-    monomials = [
-        LaurentPolynomial(1, {(m,): c}) for m in members for c in pool
-    ]
-    checks = 0
-    for size in range(2, max_terms + 1):
-        for combo in itertools.combinations_with_replacement(range(len(monomials)), size):
-            checks += 1
-            if checks > enumeration_budget:
-                break
-            # Sum of monomial reciprocals is itself a Laurent polynomial.
-            total = LaurentPolynomial.zero(1)
-            for idx in combo:
-                m = monomials[idx]
-                exponent, coeff = next(m.terms())
-                total = total + LaurentPolynomial(1, {(-exponent[0],): 1 / coeff})
-            if RationalFunction(total) == r:
-                return ReciprocalSum(tuple(monomials[idx] for idx in combo))
-        if checks > enumeration_budget:
-            break
+    monomials = [LaurentPolynomial(1, {(m,): c}) for m in members for c in pool]
+    combos = itertools.chain.from_iterable(
+        itertools.combinations_with_replacement(monomials, size)
+        for size in range(2, max_terms + 1)
+    )
+    for combo in itertools.islice(combos, _ENUMERATION_BUDGET):
+        if _sums_to(combo, r):
+            return ReciprocalSum(combo)
 
     # Stage 3: seeded random candidates.
     rng = random.Random(seed)
     for _ in range(random_trials):
-        count = rng.randint(1, max_terms)
-        denominators = []
-        for _ in range(count):
-            width = rng.randint(1, min(3, len(members)))
-            support = rng.sample(members, width)
-            denominators.append(
-                LaurentPolynomial(1, {(m,): rng.choice(pool) for m in support})
-            )
-        if normalize_reciprocal_sum(denominators) == r:
-            return ReciprocalSum(tuple(denominators))
+        denominators = _random_denominators(rng, members, pool, max_terms)
+        if _sums_to(denominators, r):
+            return ReciprocalSum(denominators)
     return None
 
 
@@ -239,11 +251,4 @@ def random_reciprocal_sum(
     """A seeded random formal sum of reciprocals of algebra elements of S."""
     pool = [as_fraction(c) for c in coeff_pool]
     members = list(S.members_up_to(max_degree))
-    denominators = []
-    for _ in range(rng.randint(1, max_terms)):
-        width = rng.randint(1, min(3, len(members)))
-        support = rng.sample(members, width)
-        denominators.append(
-            LaurentPolynomial(1, {(m,): rng.choice(pool) for m in support})
-        )
-    return ReciprocalSum(tuple(denominators))
+    return ReciprocalSum(_random_denominators(rng, members, pool, max_terms))

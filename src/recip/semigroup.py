@@ -156,16 +156,15 @@ def sprime_stability_check(S: NumericalSemigroup) -> bool:
     return all(S.contains(n) for n in range(g2, S.conductor))
 
 
-def semigroup_to_json(S: NumericalSemigroup, sprime: NumericalSemigroup | None = None) -> dict:
-    out = {
+def semigroup_to_json(S: NumericalSemigroup) -> dict:
+    """The invariants of S and the generators of S'."""
+    return {
         "generators": list(S.generators),
         "gaps": list(S.gaps),
         "frobenius": S.frobenius,
         "conductor": S.conductor,
+        "sprime_generators": list(derive_sprime(S).generators),
     }
-    if sprime is not None:
-        out["sprime_generators"] = list(sprime.generators)
-    return out
 
 
 def semigroup_from_json(obj: dict) -> NumericalSemigroup:

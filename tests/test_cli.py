@@ -126,6 +126,36 @@ def test_degree_limit_exits_two_quickly():
         assert err.startswith("error: ") and "limit" in err and err.count("\n") == 1, argv
 
 
+def test_power_limit_exits_two_quickly():
+    for argv in (
+        ("member", "--gens", "4,7,9", "--expr", "91^5497340"),
+        ("member", "--gens", "4,7,9", "--expr=91^54973481"),
+        ("recip-member", "--gens", "5,16,1", "--expr", "-91^54973481X)"),
+        ("member", "--gens", "4,7,9", "--expr", "(X+1)^3000"),
+        ("member", "--gens", "4,7,9", "--expr", "1/(2 - X)^-99999999999999999999"),
+        ("kplusm", "--n", "3", "--expr", "(Y + X2 + X3)^200"),
+        ("valuation", "--rank", "2", "--expr", "(X^(1,0) + X^(0,1))^-100000"),
+    ):
+        start = time.perf_counter()
+        code, out, err = run_cli(*argv)
+        assert time.perf_counter() - start < 1.0, argv
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: power at position ") and "limit" in err and err.count("\n") == 1, argv
+
+
+def test_powers_within_the_limit_still_answer():
+    member = '{"status":"Member","certificate":"1"}\n'
+    pole = '{"status":"NotMember","obstruction":"PoleAtOrigin"}\n'
+    for expr, expected in (
+        ("X^100000000", (member, pole)),
+        ("(X)^100000000", (member, pole)),
+        ("(2*X)^1000000", (member, pole)),
+        ("(X+1)^300", ('{"status":"NotMember","obstruction":"LinearSystemInfeasible"}\n', pole)),
+    ):
+        for command, out in zip(("member", "recip-member"), expected):
+            assert run_cli(command, "--gens", "4,7,9", "--expr", expr) == (0, out, ""), (command, expr)
+
+
 def test_wide_membership_system_is_fast():
     # F(S') = 3999: the certificate system has 4,000 sparse rows.
     start = time.perf_counter()

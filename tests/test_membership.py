@@ -1,12 +1,15 @@
 """Membership decision, certificates, and the brute-force witness search."""
 
+import itertools
 import math
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 
 import pytest
 
+from recip import laurent, ratfunc
 from recip.laurent import LaurentPolynomial
 from recip.membership import (
     LINEAR_SYSTEM_INFEASIBLE,
@@ -335,3 +338,138 @@ def test_witness_rejects_bad_bounds():
         brute_force_witness(RF("1/X^4"), S479, 0, 5, [Fraction(1)], seed=0)
     with pytest.raises(ValueError):
         brute_force_witness(RF("1/X^4"), S479, 2, 5, [Fraction(0)], seed=0)
+
+
+# -- the witness search checks sums without the gcd it cross-checks ----------------------
+
+
+def random_reciprocal_sum_oracle(S, rng, max_terms=4, max_degree=12,
+                                 coeff_pool=(1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2))):
+    """The earlier sampler, kept to pin the order of the random draws."""
+    pool = [Fraction(c) for c in coeff_pool]
+    members = list(S.members_up_to(max_degree))
+    denominators = []
+    for _ in range(rng.randint(1, max_terms)):
+        width = rng.randint(1, min(3, len(members)))
+        support = rng.sample(members, width)
+        denominators.append(LaurentPolynomial(1, {(m,): rng.choice(pool) for m in support}))
+    return tuple(denominators)
+
+
+def brute_force_witness_oracle(r, S, max_terms, max_degree, coeff_pool, seed, random_trials=400):
+    """The earlier search: every candidate is checked by normalizing its sum
+    (a gcd per addition), stage 2 by a Laurent sum of monomial reciprocals."""
+    pool = sorted({Fraction(c) for c in coeff_pool})
+    members = list(S.members_up_to(max_degree))
+    for m in members:
+        for c in pool:
+            d = LaurentPolynomial(1, {(m,): c})
+            if normalize_reciprocal_sum([d]) == r:
+                return (d,)
+    for m1, m2 in itertools.combinations(members, 2):
+        for c1 in pool:
+            for c2 in pool:
+                d = LaurentPolynomial(1, {(m1,): c1, (m2,): c2})
+                if normalize_reciprocal_sum([d]) == r:
+                    return (d,)
+    monomials = [LaurentPolynomial(1, {(m,): c}) for m in members for c in pool]
+    checks = 0
+    for size in range(2, max_terms + 1):
+        for combo in itertools.combinations_with_replacement(range(len(monomials)), size):
+            checks += 1
+            if checks > 60000:
+                break
+            total = LaurentPolynomial.zero(1)
+            for idx in combo:
+                exponent, coeff = next(monomials[idx].terms())
+                total = total + LaurentPolynomial(1, {(-exponent[0],): 1 / coeff})
+            if RationalFunction(total) == r:
+                return tuple(monomials[idx] for idx in combo)
+        if checks > 60000:
+            break
+    rng = random.Random(seed)
+    for _ in range(random_trials):
+        count = rng.randint(1, max_terms)
+        denominators = []
+        for _ in range(count):
+            width = rng.randint(1, min(3, len(members)))
+            support = rng.sample(members, width)
+            denominators.append(LaurentPolynomial(1, {(m,): rng.choice(pool) for m in support}))
+        if normalize_reciprocal_sum(denominators) == r:
+            return tuple(denominators)
+    return None
+
+
+def test_random_reciprocal_sum_draws_are_unchanged():
+    for seed in range(200):
+        S = ns_create(random.Random(seed).choice(([4, 7, 9], [3, 5], [5, 6, 7, 8], [1])))
+        rng, pinned = random.Random(seed), random.Random(seed)
+        for _ in range(3):
+            sample = random_reciprocal_sum(S, rng, max_terms=1 + seed % 4, max_degree=6 + seed % 9)
+            expected = random_reciprocal_sum_oracle(S, pinned, max_terms=1 + seed % 4,
+                                                    max_degree=6 + seed % 9)
+            assert sample.denominators == expected
+        assert rng.random() == pinned.random()
+
+
+def _oracle_cases(count):
+    rng = random.Random(4093)
+    semigroups = [ns_create(g) for g in ([4, 7, 9], [3, 5], [5, 6, 7, 8], [1])]
+    for k in range(count):
+        S = semigroups[k % len(semigroups)]
+        members = list(S.members_up_to(6))[1:]
+        kind = k % 5
+        if kind == 0:  # a sum of sampled reciprocals: found at some stage or not
+            r = normalize_reciprocal_sum(
+                random_reciprocal_sum(S, rng, max_terms=2, max_degree=6, coeff_pool=(1, -1))
+            )
+        elif kind == 1:  # monomial reciprocals, some with a gap exponent
+            exps = [rng.randint(1, 6) for _ in range(rng.randint(1, 3))]
+            r = normalize_reciprocal_sum([LaurentPolynomial(1, {(e,): rng.choice((1, -1))}) for e in exps])
+        elif kind == 2:  # one binomial denominator
+            a, b = rng.sample(members, 2) if len(members) > 1 else (0, members[0])
+            r = RationalFunction(LaurentPolynomial.one(1), LaurentPolynomial(1, {(a,): 1, (b,): -1}))
+        elif kind == 3:  # a monomial: a sum of these reciprocals only when constant
+            r = RationalFunction(LaurentPolynomial.monomial(1, (rng.randint(0, 6),), rng.choice((1, 2))))
+        else:  # arbitrary small fraction
+            r = RationalFunction(random_poly(rng, polynomial=True, span=4),
+                                 random_nonzero_poly(rng, polynomial=True, span=6))
+        yield r, S, 1 + k % 3, 6, (1, -1) if k % 4 else (1, -1, 2), k
+
+
+def test_witness_search_matches_the_gcd_based_search():
+    found = missing = 0
+    for r, S, max_terms, max_degree, pool, seed in _oracle_cases(300):
+        expected = brute_force_witness_oracle(r, S, max_terms, max_degree, pool, seed, random_trials=20)
+        witness = brute_force_witness(r, S, max_terms, max_degree, pool, seed, random_trials=20)
+        assert (None if witness is None else witness.denominators) == expected, (r, seed)
+        found += expected is not None
+        missing += expected is None
+    assert found >= 50 and missing >= 50, (found, missing)
+
+
+def test_witness_search_takes_no_gcd(monkeypatch):
+    cases = [
+        (RF("1/X^4 + 1/X^7"), 2, 12, (1, -1), 3, (parse_poly("X^4"), parse_poly("X^7"))),
+        (RF("1/(X^4 - X^8)"), 2, 8, (1, -1), 3, (parse_poly("X^4 - X^8"),)),
+        (RF("1/X^4 + 1/(1 - X^4)"), 3, 8, (1, -1), 11, (parse_poly("X^4 - X^8"),)),
+        (RF("-1/(X - X^4 + 2*X^5 - X^8 + X^9)"), 2, 8, (1, -1), 2,  # found in stage 3
+         (parse_poly("-X^4 + X^7 - X^8"), parse_poly("X^4 + X^8"))),
+        (RF("X^5"), 2, 9, (1, -1), 5, None),
+        (RF("1/X^5"), 3, 9, (1, -1, 2), 1, None),
+    ]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the witness search must not normalize")
+
+    gcd_paths = (laurent.poly_gcd, ratfunc.normalize_reciprocal_sum)
+    modules = [m for name, m in sys.modules.items() if name == "recip" or name.startswith("recip.")]
+    for module in modules:
+        for name, value in list(vars(module).items()):
+            if any(value is f for f in gcd_paths):
+                monkeypatch.setattr(module, name, refuse)
+    with pytest.raises(AssertionError):
+        RF("(X^2 - 1)/(X - 1)")
+    for r, max_terms, max_degree, pool, seed, expected in cases:
+        witness = brute_force_witness(r, S479, max_terms, max_degree, pool, seed, random_trials=50)
+        assert (None if witness is None else witness.denominators) == expected

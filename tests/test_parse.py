@@ -4,8 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from recip.laurent import LaurentPolynomial, format_poly
-from recip.parse import MAX_NESTING, ParseError, parse_poly, parse_ratfunc, parse_rational
+from recip.laurent import LaurentPolynomial, LimitExceeded, format_poly
+from recip.parse import (
+    MAX_NESTING,
+    MAX_POWER_SIZE,
+    ParseError,
+    parse_poly,
+    parse_ratfunc,
+    parse_rational,
+)
 from recip.ratfunc import format_ratfunc
 
 
@@ -137,3 +144,20 @@ def test_nesting_past_the_limit_is_a_parse_error():
             parse_ratfunc(text)
         assert info.value.position == 2 + MAX_NESTING  # the first '(' too deep
         assert "nested" in str(info.value)
+
+
+def test_power_size_limit_boundaries():
+    # 91^k counts 7k bits, (X+1)^k counts k + 1 terms of k bits.
+    assert MAX_POWER_SIZE == 1 << 20
+    assert parse_ratfunc("91^149796").constant_value() == 91**149796
+    with pytest.raises(LimitExceeded, match="position 2"):
+        parse_ratfunc("91^149797")
+    assert len(parse_poly("((X+1)^-1)^-300")) == 301
+    with pytest.raises(LimitExceeded):
+        parse_ratfunc("(X+1)^724")
+    with pytest.raises(LimitExceeded):
+        parse_ratfunc("1/(1 + X)^-724")
+    # Unit monomials stay one term at any power; zero stays zero.
+    assert parse_poly("(-X)^99999999999999999999") == LaurentPolynomial.monomial(1, (99999999999999999999,), -1)
+    assert parse_ratfunc("0^1000000").is_zero()
+    assert parse_ratfunc("(1/2)^1000000").constant_value() == Fraction(1, 2**1000000)

@@ -361,7 +361,7 @@ def test_stability_implies_fixed_sprime():
 
 def test_json_round_trip():
     S = ns_create([4, 7, 9])
-    obj = semigroup_to_json(S, sprime=derive_sprime(S))
+    obj = semigroup_to_json(S)
     assert obj == {
         "generators": [4, 7, 9],
         "gaps": [1, 2, 3, 5, 6, 10],

@@ -32,3 +32,20 @@ def test_no_raise_system_exit_in_the_library():
         if isinstance(node, ast.Raise) and node.exc is not None and is_system_exit(node.exc)
     ]
     assert SOURCE.is_dir() and not found, found
+
+
+def test_every_declared_limit_is_in_the_readme():
+    # Each module-level MAX_* constant is a declared limit, listed by its
+    # dotted name in README's "Limits and exit codes" section.
+    readme = (SOURCE.parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Limits and exit codes", 1)[1].split("\n#", 1)[0]
+    limits = [
+        f"recip.{path.stem}.{target.id}"
+        for path in sorted(SOURCE.glob("*.py"))
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name) and target.id.startswith("MAX_")
+    ]
+    missing = [name for name in limits if f"`{name}`" not in section]
+    assert len(limits) >= 4 and not missing, missing
