@@ -17,9 +17,9 @@ monomials use the vector form ``X^(1,-2)``; with one name per coordinate
 
 Parse errors carry the offending position and what was expected.
 Parentheses nest at most ``MAX_NESTING`` deep; a deeper '(' is a parse
-error at its position rather than a ``RecursionError``.  A power whose
-estimated size exceeds ``MAX_POWER_SIZE`` raises ``LimitExceeded`` before
-it is computed.
+error at its position rather than a ``RecursionError``.  A power, product
+or quotient whose estimated size exceeds ``MAX_POWER_SIZE`` raises
+``LimitExceeded`` before it is computed.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from typing import NamedTuple
 
 from .laurent import LaurentPolynomial, LimitExceeded
 from .ratfunc import RationalFunction
@@ -68,6 +69,29 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
         pos = match.end()
     tokens.append(("end", "", len(text)))
     return tokens
+
+
+Shape = tuple[int, int, tuple[int, ...]]  # term count, coefficient width, support spans
+
+
+class _Factor(NamedTuple):
+    """An atom with its power (a negative one already applied to the atom as
+    its inverse) and sign, not yet multiplied out, so that a product's size
+    is checked before either operand's power is computed."""
+
+    atom: RationalFunction
+    exponent: int | None = None
+    negative: bool = False
+
+    def shapes(self) -> tuple[Shape, Shape]:
+        """The numerator's and the denominator's shape, estimated for a power."""
+        if self.exponent is None:
+            return _shape(self.atom.num), _shape(self.atom.den)
+        return _power_shape(self.atom.num, self.exponent), _power_shape(self.atom.den, self.exponent)
+
+    def value(self) -> RationalFunction:
+        value = self.atom if self.exponent is None else self.atom ** self.exponent
+        return -value if self.negative else value
 
 
 class _Parser:
@@ -122,36 +146,42 @@ class _Parser:
         return value
 
     def product(self) -> RationalFunction:
-        value = self.unary()
+        left = self.unary()
         while (op := self.at_op("*", "/")) is not None:
             _, _, pos = self.advance()
             rhs = self.unary()
+            (lnum, lden), (num, den) = left.shapes(), rhs.shapes()
+            if op == "/":
+                num, den = den, num
+            if _size(_product_shape(lnum, num)) + _size(_product_shape(lden, den)) > MAX_POWER_SIZE:
+                raise LimitExceeded(f"product at position {pos} exceeds the size limit {MAX_POWER_SIZE}")
+            value, rhs_value = left.value(), rhs.value()
             if op == "*":
-                value = value * rhs
+                value = value * rhs_value
             else:
-                if rhs.is_zero():
+                if rhs_value.is_zero():
                     raise ParseError("division by zero", pos)
-                value = value / rhs
-        return value
+                value = value / rhs_value
+            left = _Factor(value)
+        return left.value()
 
-    def unary(self) -> RationalFunction:
+    def unary(self) -> _Factor:
         negative = False
         while (op := self.at_op("+", "-")) is not None:
             self.advance()
             negative ^= op == "-"
-        value = self.power()
-        return -value if negative else value
+        return self.power()._replace(negative=negative)
 
-    def power(self) -> RationalFunction:
-        value = self.atom()
-        if self.at_op("^"):
-            _, _, pos = self.advance()
-            exponent = self.signed_int()
-            k = abs(exponent)
-            if _power_size(value.num, k) + _power_size(value.den, k) > MAX_POWER_SIZE:
-                raise LimitExceeded(f"power at position {pos} exceeds the size limit {MAX_POWER_SIZE}")
-            value = value ** exponent
-        return value
+    def power(self) -> _Factor:
+        atom = self.atom()
+        if not self.at_op("^"):
+            return _Factor(atom)
+        _, _, pos = self.advance()
+        exponent = self.signed_int()
+        factor = _Factor(atom, abs(exponent))
+        if sum(map(_size, factor.shapes())) > MAX_POWER_SIZE:
+            raise LimitExceeded(f"power at position {pos} exceeds the size limit {MAX_POWER_SIZE}")
+        return factor if exponent >= 0 else factor._replace(atom=atom.inverse())
 
     def atom(self) -> RationalFunction:
         kind, token, pos = self.peek()
@@ -220,22 +250,50 @@ class _Parser:
         return sign * int(token)
 
 
-def _power_size(poly: LaurentPolynomial, k: int) -> int:
-    """The size of poly^k as ``MAX_POWER_SIZE`` counts it, from upper
-    estimates: the term count is a multinomial count or the box that k times
-    the support spans, and each coefficient has at most k times the bits of
-    (term count) * (widest numerator) * (widest denominator)."""
+def _height_shape(poly: LaurentPolynomial) -> tuple[int, int, tuple[int, ...]]:
+    """The term count, the height (widest numerator times widest
+    denominator) and the support's span in each coordinate."""
     coeffs = [c for _, c in poly.terms()]
     if not coeffs:
-        return 0
-    t = len(coeffs)
-    width = (t * max(abs(c.numerator) for c in coeffs) * max(c.denominator for c in coeffs) - 1).bit_length()
-    if width == 0:
-        return 1  # a unit monomial +-X^e stays one unit term
+        return 0, 0, ()
+    height = max(abs(c.numerator) for c in coeffs) * max(c.denominator for c in coeffs)
+    return len(coeffs), height, tuple(max(column) - min(column) for column in zip(*poly.support()))
+
+
+def _shape(poly: LaurentPolynomial) -> Shape:
+    """The shape of poly itself; its width is the bits of height - 1, so 0
+    for unit coefficients."""
+    t, height, spans = _height_shape(poly)
+    return t, (height - 1).bit_length() if t else 0, spans
+
+
+def _power_shape(poly: LaurentPolynomial, k: int) -> Shape:
+    """Upper estimates for the shape of poly^k: the term count is a
+    multinomial count or the box that k times the support spans, and each
+    coefficient has at most k times the bits of (term count) * height."""
+    t, height, spans = _height_shape(poly)
+    if not t:
+        return 0, 0, ()
     k = min(k, MAX_POWER_SIZE + 1)  # the size grows with k and exceeds the limit past it
-    spans = [max(column) - min(column) for column in zip(*poly.support())]
     terms = min(math.comb(k + t - 1, t - 1), math.prod(k * s + 1 for s in spans))
-    return terms * (k * width + terms)
+    return terms, k * (t * height - 1).bit_length(), tuple(k * s for s in spans)
+
+
+def _product_shape(a: Shape, b: Shape) -> Shape:
+    """Upper estimates for the shape of a product: every pair of terms or
+    the box of the summed spans, and coefficients that sum at most min(ta, tb)
+    products of the two widths."""
+    (ta, wa, sa), (tb, wb, sb) = a, b
+    spans = tuple(x + y for x, y in zip(sa, sb))
+    return min(ta * tb, math.prod(s + 1 for s in spans)), wa + wb + (min(ta, tb) - 1).bit_length(), spans
+
+
+def _size(shape: Shape) -> int:
+    """The size ``MAX_POWER_SIZE`` bounds: terms times (width plus terms),
+    so that both the bits and the term-by-term products that build them
+    count."""
+    terms, width, _ = shape
+    return terms * (width + terms)
 
 
 def parse_ratfunc(text: str, rank: int = 1, names: tuple[str, ...] = ("X",)) -> RationalFunction:

@@ -143,6 +143,17 @@ def test_power_limit_exits_two_quickly():
         assert err.startswith("error: power at position ") and "limit" in err and err.count("\n") == 1, argv
 
 
+def test_product_limit_exits_two_quickly():
+    # Each factor is within the power limit; the product is checked before
+    # either power is computed.
+    for expr in ("(X+1)^700*(X+1)^700", "(X+1)^700*(X+1)^700*(X+1)^700", "(X+1)^700/(X+1)^-700"):
+        start = time.perf_counter()
+        code, out, err = run_cli("member", "--gens", "4,7,9", "--expr", expr)
+        assert time.perf_counter() - start < 1.0, expr
+        assert (code, out) == (2, ""), expr
+        assert err == "error: product at position 9 exceeds the size limit 1048576\n", expr
+
+
 def test_powers_within_the_limit_still_answer():
     member = '{"status":"Member","certificate":"1"}\n'
     pole = '{"status":"NotMember","obstruction":"PoleAtOrigin"}\n'
@@ -217,6 +228,32 @@ def test_thm56():
     assert payload["report"]["t"] == 2
     assert payload["report"]["exact"] == 2
     assert len(payload["monoid"]["families"]) == 4
+
+
+def test_many_family_reports_are_fast(tmp_path):
+    # 14 families were 2^14 Fourier-Motzkin cases per empty stratum (43 s);
+    # thm56 --n 8 --m 4 ran for more than 120 s.
+    path = tmp_path / "monoid.json"
+    family = {"base": [1, 0, 0], "free": [3]}
+    path.write_text(json.dumps({"rank": 3, "generators": [], "families": [family] * 14}), encoding="utf-8")
+    for argv, report in (
+        (("dimension", "--file", str(path)), lambda payload: payload),
+        (("thm56", "--n", "8", "--m", "4"), lambda payload: payload["report"]),
+    ):
+        start = time.perf_counter()
+        payload = run_json(*argv)
+        assert time.perf_counter() - start < 2.0, argv
+        assert report(payload)["si"][-1] is False, argv
+
+
+def test_thm56_rank_limit_exits_two_quickly():
+    assert run_json("thm56", "--n", "100", "--m", "1")["report"]["t"] == 99
+    for n in ("101", "1000000000000"):
+        start = time.perf_counter()
+        code, out, err = run_cli("thm56", "--n", n, "--m", "1")
+        assert time.perf_counter() - start < 1.0, n
+        assert (code, out) == (2, ""), n
+        assert err.startswith("error: free-shift rank ") and "limit 100" in err and err.count("\n") == 1, n
 
 
 def test_kplusm():

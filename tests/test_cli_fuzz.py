@@ -13,7 +13,7 @@ hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
 from recip.cli import main  # noqa: E402
-from recip.dimension import monoid_from_semigroup, monoid_to_json  # noqa: E402
+from recip.dimension import MAX_FREE_SHIFT_RANK, monoid_from_semigroup, monoid_to_json  # noqa: E402
 from recip.semigroup import ns_create  # noqa: E402
 
 FUZZ = hypothesis.settings(max_examples=150, derandomize=True, deadline=None, database=None)
@@ -163,6 +163,16 @@ def test_egyptian(value):
 @hypothesis.given(MONOID_JSON)
 def test_dimension_monoid(monoid):
     check("dimension", "--monoid", monoid)
+
+
+@FUZZ
+@hypothesis.given(
+    st.one_of(st.integers(-2, 12), st.sampled_from([MAX_FREE_SHIFT_RANK, MAX_FREE_SHIFT_RANK + 1, 10**12])),
+    st.one_of(st.integers(-2, 12), st.just(MAX_FREE_SHIFT_RANK)),
+)
+def test_thm56(n, m):
+    code, out, err = check("thm56", "--n", str(n), "--m", str(m))
+    assert (code == 0) == (MAX_FREE_SHIFT_RANK >= n > m >= 1), (n, m, err)
 
 
 def pairs(*options):

@@ -1,12 +1,13 @@
 """Stratum emptiness, witnesses, and dimension reports for lex monoids."""
 
 import random
+import sys
 import types
 from fractions import Fraction
 
 import pytest
 
-from recip import dimension
+from recip import dimension, linsolve
 from recip.dimension import (
     EXACT_ALL_NONEMPTY,
     EXACT_FREE_SHIFT,
@@ -23,6 +24,7 @@ from recip.dimension import (
     si_nonempty,
     si_witness,
 )
+from recip.laurent import LimitExceeded
 from recip.semigroup import ns_create
 
 NN2 = LexMonoid(rank=2, generators=((1, 0), (0, 1)))
@@ -60,6 +62,65 @@ def in_monoid_span(M, vector, depth=6):
         return False
 
     return search(tuple(vector), depth)
+
+
+def oracle_witness(M, i):
+    """The all-subsets search that decided stratum emptiness before the
+    leading-index lemma: for each subset of families marked as used, one
+    exact feasibility case (multipliers >= 0 on generators, >= 1 on used
+    families, free coordinates eliminated), materialized to an integer
+    element; None when no case is feasible."""
+    target = i - 1
+    gens = M.generators
+    for mask in range(1 << len(M.families)):
+        used = [f for k, f in enumerate(M.families) if mask >> k & 1]
+        covered = set().union(*(f.free for f in used)) if used else set()
+        nvars = len(gens) + len(used)
+        constraints = []
+        for v in range(nvars):
+            row = [Fraction(0)] * nvars
+            row[v] = Fraction(-1)
+            constraints.append((tuple(row), Fraction(0)))
+        for c in range(target + 1):
+            if c in covered:
+                continue
+            row = [Fraction(g[c]) for g in gens] + [Fraction(f.base[c]) for f in used]
+            offset = sum(f.base[c] for f in used)
+            if c < target:
+                constraints.append((tuple(row), Fraction(-offset)))
+                constraints.append((tuple(-v for v in row), Fraction(offset)))
+            else:
+                constraints.append((tuple(-v for v in row), Fraction(offset - 1)))
+        solution = linsolve.fm_witness(constraints, nvars)
+        if solution is not None:
+            return dimension._materialize(M, target, gens, used, covered, solution)
+    return None
+
+
+def _lead_vector(rng, rank, lead):
+    vector = [0] * rank
+    vector[lead] = rng.randint(1, 3)
+    for c in range(lead + 1, rank):
+        vector[c] = rng.randint(-3, 3)
+    return tuple(vector)
+
+
+def seeded_monoids(seed, count):
+    """Lex monoids of rank 1 to 4 with 0 to 8 families (few of the costly
+    large counts, since the oracle solves 2^families cases per empty
+    stratum) and 0 to 2 generators, leading indices drawn at random."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        rank = rng.randint(1, 4)
+        nfam = rng.choices(range(9), weights=(32, 32, 32, 16, 8, 4, 2, 1, 1))[0] if rank > 1 else 0
+        families = []
+        for _ in range(nfam):
+            lead = rng.randrange(rank - 1)
+            tail = range(lead + 1, rank)
+            free = frozenset(c for c in tail if rng.random() < 0.5) or {rng.choice(tail)}
+            families.append(ShiftFamily(_lead_vector(rng, rank, lead), free))
+        generators = tuple(_lead_vector(rng, rank, rng.randrange(rank)) for _ in range(rng.randint(0, 2)))
+        yield LexMonoid(rank=rank, generators=generators, families=tuple(families))
 
 
 # -- validation -----------------------------------------------------------------
@@ -137,6 +198,49 @@ def test_witness_postconditions_are_explicit_checks(monkeypatch, monoid, i, solu
         monkeypatch.setattr(dimension, "math", types.SimpleNamespace(lcm=lambda *values: 1))
     with pytest.raises(RuntimeError, match=broken):
         si_witness(monoid, i)
+
+
+def test_lemma_matches_the_all_subsets_search():
+    # Flags, witnesses and every None agree with the search the lemma replaced.
+    empty = 0
+    families = set()
+    for M in seeded_monoids(8, 1000):
+        families.add(len(M.families))
+        for i in range(1, M.rank + 1):
+            expected = oracle_witness(M, i)
+            assert si_nonempty(M, i) == (expected is not None), (M, i)
+            assert si_witness(M, i) == expected, (M, i)
+            empty += expected is None
+    assert empty >= 300 and families == set(range(9)), (empty, families)
+
+
+def test_reports_run_no_fourier_motzkin(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("fm_witness called")
+
+    for module in [m for name, m in sys.modules.items() if name == "recip" or name.startswith("recip.")]:
+        if hasattr(module, "fm_witness"):
+            monkeypatch.setattr(module, "fm_witness", refuse)
+    ladder = [free_shift_monoid(n, m) for n in range(2, 9) for m in range(1, n)]
+    for M in ladder + list(seeded_monoids(9, 200)):
+        report = dimension_report(M)
+        assert report.si_nonempty == tuple(si_nonempty(M, i) for i in range(1, M.rank + 1))
+    assert dimension_report(free_shift_monoid(8, 4)).t == 4
+
+
+def test_witness_search_failing_on_a_nonempty_stratum_raises(monkeypatch):
+    # The lemma says S_1 of NN2 is nonempty, so a search that finds no case is a fault.
+    monkeypatch.setattr(dimension, "fm_witness", lambda constraints, nvars: None)
+    with pytest.raises(RuntimeError, match="no case of the nonempty stratum 1"):
+        si_witness(NN2, 1)
+    assert si_witness(EX_FAMILY, 2) is None  # empty: the search does not run
+
+
+def test_free_shift_rank_limit():
+    assert dimension.MAX_FREE_SHIFT_RANK == 100
+    assert dimension_report(free_shift_monoid(100, 50)).t == 50
+    with pytest.raises(LimitExceeded, match="limit 100"):
+        free_shift_monoid(101, 1)
 
 
 def test_monotonicity_adding_generators_preserves_nonempty_strata():

@@ -161,3 +161,21 @@ def test_power_size_limit_boundaries():
     assert parse_poly("(-X)^99999999999999999999") == LaurentPolynomial.monomial(1, (99999999999999999999,), -1)
     assert parse_ratfunc("0^1000000").is_zero()
     assert parse_ratfunc("(1/2)^1000000").constant_value() == Fraction(1, 2**1000000)
+
+
+def test_product_size_limit_boundaries():
+    # A product's estimate adds its factors' widths: 91^149795 counts
+    # 1,048,565 bits and 91 seven more, while 91^149796 * 91 counts 1,048,579.
+    assert parse_ratfunc("91^149795*91").constant_value() == 91**149796
+    for text, position in (
+        ("91^149796*91", 9),
+        ("91*91^149796", 2),
+        ("(X+1)^362*(X+1)^362", 9),
+        ("1/(X+1)^362/(X+1)^362", 11),
+    ):
+        with pytest.raises(LimitExceeded, match=f"product at position {position} "):
+            parse_ratfunc(text)
+    assert parse_poly("(X+1)^200*(X+1)^-200*(X+1)^3") == parse_poly("X^3 + 3*X^2 + 3*X + 1")
+    # Division by zero is still found before the quotient is formed.
+    with pytest.raises(ParseError, match="division by zero at position 1"):
+        parse_ratfunc("1/0^2")
