@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .laurent import LaurentPolynomial, as_fraction
+from .laurent import MAX_DEGREE, LaurentPolynomial, LimitExceeded, as_fraction
 from .linsolve import solve_affine
 from .ratfunc import RationalFunction, ReciprocalSum, sigma_map
 from .semigroup import NumericalSemigroup, derive_sprime
@@ -76,9 +76,6 @@ def decide_membership(r: RationalFunction, S: NumericalSemigroup) -> MembershipV
     p, q = r.num, r.den  # already reduced and monomial-normalized
     if q.constant_term() == 0:
         return MembershipVerdict.not_member(POLE_AT_ORIGIN)
-    scale = 1 / q.constant_term()
-    p = p.scale(scale)
-    q = q.scale(scale)
 
     sprime = derive_sprime(S)
     bound = sprime.frobenius
@@ -148,6 +145,12 @@ def in_reciprocal_complement(
 # Stage 2 of brute_force_witness stops after this many candidate checks.
 _ENUMERATION_BUDGET = 60_000
 
+# brute_force_witness refuses max(random_trials, 1) * 2^max_terms above this,
+# so max_terms is at most 16.  A random candidate of up to k denominators
+# costs about 2^k on average, and at the limit stage 3 takes at most about
+# 3 s at degree bound 30,000 (2-vCPU VM).
+MAX_SEARCH_SIZE = 2**16
+
 
 def _sums_to(denominators: Iterable[LaurentPolynomial], r: RationalFunction) -> bool:
     """Whether sum(1/d_i) = r, decided by clearing denominators: the sum is
@@ -191,51 +194,56 @@ def brute_force_witness(
     normalizes fractions), while None only means nothing was found within
     the bounds, never a non-membership proof.
 
-    Candidates are tried in a documented, deterministic order so the first
-    witness found is reproducible:
+    Candidates are checked in one deterministic order, so the first witness
+    found is reproducible:
 
-    1. single denominators with one or two support points (ascending support,
-       then pool order for coefficients);
+    1. the one single denominator d with num(r) * d = den(r), when it has one
+       or two terms, exponents in S up to max_degree and coefficients in the
+       pool.  Its lowest term is low(den)/low(num) and its highest term
+       high(den)/high(num), so it is computed, not searched for, and needs
+       no gcd even when r is not reduced;
     2. multisets of 2..max_terms monomial denominators in lexicographic
        order, up to 60,000 checks;
     3. ``random_trials`` seeded random candidates with up to three support
        points per denominator.
+
+    Raises LimitExceeded when max_degree is above MAX_DEGREE or
+    max(random_trials, 1) * 2^max_terms is above MAX_SEARCH_SIZE.
     """
     if max_terms < 1 or max_degree < 0:
         raise ValueError("bounds must be positive")
     pool = sorted({as_fraction(c) for c in coeff_pool})
     if not pool or any(c == 0 for c in pool):
         raise ValueError("coefficient pool must be nonzero")
+    if max_degree > MAX_DEGREE:
+        raise LimitExceeded(f"degree bound {max_degree} exceeds the limit {MAX_DEGREE}")
+    if max(random_trials, 1) > MAX_SEARCH_SIZE >> max_terms:
+        raise LimitExceeded(f"search size max(trials, 1) * 2^max_terms exceeds the limit {MAX_SEARCH_SIZE}")
     members = list(S.members_up_to(max_degree))
 
-    # Stage 1: single denominators with small support.
-    singles = itertools.chain(
-        (LaurentPolynomial(1, {(m,): c}) for m in members for c in pool),
-        (
-            LaurentPolynomial(1, {(m1,): c1, (m2,): c2})
-            for m1, m2 in itertools.combinations(members, 2)
-            for c1 in pool
-            for c2 in pool
-        ),
-    )
-    for d in singles:
-        if _sums_to((d,), r):
-            return ReciprocalSum((d,))
-
-    # Stage 2: multisets of monomial denominators.
-    monomials = [LaurentPolynomial(1, {(m,): c}) for m in members for c in pool]
+    # Stage 1: num(r) * d = den(r) fixes the lowest and highest terms of the
+    # one single denominator d; the exact check rejects a d with more terms.
+    single = []
+    if not r.num.is_zero():
+        ends = {
+            (d[0] - n[0],): r.den.coeff(d) / r.num.coeff(n)
+            for n, d in ((r.num.lex_min_exponent(), r.den.lex_min_exponent()),
+                         (r.num.lex_max_exponent(), r.den.lex_max_exponent()))
+        }
+        if all(e in members and c in pool for (e,), c in ends.items()):
+            single.append((LaurentPolynomial(1, ends),))
+    # Stage 2: multisets of monomial denominators.  The first 60,000
+    # multisets use only the first 60,000 monomials.
+    pairs = itertools.islice(itertools.product(members, pool), _ENUMERATION_BUDGET)
+    monomials = [LaurentPolynomial(1, {(m,): c}) for m, c in pairs]
     combos = itertools.chain.from_iterable(
         itertools.combinations_with_replacement(monomials, size)
         for size in range(2, max_terms + 1)
     )
-    for combo in itertools.islice(combos, _ENUMERATION_BUDGET):
-        if _sums_to(combo, r):
-            return ReciprocalSum(combo)
-
     # Stage 3: seeded random candidates.
     rng = random.Random(seed)
-    for _ in range(random_trials):
-        denominators = _random_denominators(rng, members, pool, max_terms)
+    draws = (_random_denominators(rng, members, pool, max_terms) for _ in range(random_trials))
+    for denominators in itertools.chain(single, itertools.islice(combos, _ENUMERATION_BUDGET), draws):
         if _sums_to(denominators, r):
             return ReciprocalSum(denominators)
     return None

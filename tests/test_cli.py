@@ -296,6 +296,36 @@ def test_oracle_none_within_bounds():
     assert payload["witness"] is None
 
 
+def test_oracle_single_denominator_is_computed():
+    # Stage 1 reads the one candidate off r instead of trying every one- and
+    # two-term denominator up to the degree bound (22.7 s by enumeration).
+    start = time.perf_counter()
+    payload = run_json("oracle", "--gens", "4,7,9", "--expr", "1/X^5", "--max-terms", "1",
+                       "--max-degree", "300", "--coeffs", "1,-1,2", "--trials", "0")
+    assert time.perf_counter() - start < 1.0
+    assert payload == {"seed": 0, "witness": None}
+    payload = run_json("oracle", "--gens", "4,7,9", "--expr", "1/(X^4 - X^7)", "--max-terms", "1",
+                       "--max-degree", "300", "--coeffs", "1,-1,2", "--trials", "0")
+    assert payload["witness"] == ["X^4 - X^7"]
+
+
+def test_oracle_limits_exit_two_quickly():
+    for bounds, message in (
+        (("--max-degree", "30001"), "error: degree bound 30001 exceeds the limit 30000\n"),
+        (("--max-terms", "17", "--trials", "0"), None),
+        (("--max-terms", "16", "--trials", "2"), None),
+        (("--max-terms", "3", "--trials", "8193"), None),
+        (("--max-terms", "1000000000000", "--trials", "-1"), None),
+    ):
+        start = time.perf_counter()
+        code, out, err = run_cli("oracle", "--gens", "4,7,9", "--expr", "1/X^5", *bounds)
+        assert time.perf_counter() - start < 1.0, bounds
+        assert (code, out) == (2, ""), bounds
+        assert err == (message or "error: search size max(trials, 1) * 2^max_terms exceeds the limit 65536\n")
+    assert run_json("oracle", "--gens", "4,7,9", "--expr", "1/X^4", "--max-terms", "3",
+                    "--trials", "8192")["witness"] == ["X^4"]
+
+
 def test_usage_errors_exit_two(tmp_path):
     path = tmp_path / "semigroup.json"
     path.write_text('{"generators": [5, 7]}', encoding="utf-8")

@@ -14,6 +14,8 @@ st = pytest.importorskip("hypothesis.strategies")
 
 from recip.cli import main  # noqa: E402
 from recip.dimension import MAX_FREE_SHIFT_RANK, monoid_from_semigroup, monoid_to_json  # noqa: E402
+from recip.laurent import MAX_DEGREE  # noqa: E402
+from recip.membership import MAX_SEARCH_SIZE  # noqa: E402
 from recip.semigroup import ns_create  # noqa: E402
 
 FUZZ = hypothesis.settings(max_examples=150, derandomize=True, deadline=None, database=None)
@@ -173,6 +175,39 @@ def test_dimension_monoid(monoid):
 def test_thm56(n, m):
     code, out, err = check("thm56", "--n", str(n), "--m", str(m))
     assert (code == 0) == (MAX_FREE_SHIFT_RANK >= n > m >= 1), (n, m, err)
+
+
+# (gens, max_degree, max_terms, trials) for oracle: each limit on both sides
+# of its cap with the other bounds small, or all bounds small.  Under
+# <4,7,9> a degree bound of 3 leaves one member, 0, so a large max_terms
+# stays cheap.
+ORACLE_CASES = st.one_of(
+    st.tuples(
+        st.just("4,7,9"), st.sampled_from([MAX_DEGREE, MAX_DEGREE + 1, 10**12]), st.just(1), st.integers(-1, 3)
+    ),
+    st.integers(8, 18).flatmap(lambda terms: st.tuples(
+        st.just("4,7,9"), st.integers(0, 3), st.just(terms),
+        st.sampled_from([-1, 0, MAX_SEARCH_SIZE >> terms, (MAX_SEARCH_SIZE >> terms) + 1]),
+    )),
+    st.tuples(st.one_of(st.sampled_from(["4,7,9", "3,5", "1"]), GENS), st.integers(-1, 9), st.integers(0, 3),
+              st.integers(-2, 20)),
+)
+
+
+@FUZZ
+@hypothesis.given(
+    ORACLE_CASES, expressions(), st.sampled_from(["1", "1,-1", "-1,1/2,2", "1,-1,2", "1,0", "x"]), st.integers(-1, 99)
+)
+def test_oracle(case, expr, coeffs, seed):
+    gens, max_degree, max_terms, trials = case
+    code, out, err = check(
+        "oracle", "--gens", gens, "--expr", expr, "--max-degree", str(max_degree),
+        "--max-terms", str(max_terms), "--coeffs", coeffs, "--seed", str(seed), "--trials", str(trials),
+    )
+    over = max_degree > MAX_DEGREE or max(trials, 1) > MAX_SEARCH_SIZE >> max(max_terms, 0)
+    assert not (over and code == 0), (case, out)
+    if err.startswith(("error: degree bound ", "error: search size ")):
+        assert over and code == 2, (case, err)
 
 
 def pairs(*options):

@@ -9,10 +9,11 @@ from fractions import Fraction
 
 import pytest
 
-from recip import laurent, ratfunc
-from recip.laurent import LaurentPolynomial
+from recip import laurent, membership, ratfunc
+from recip.laurent import MAX_DEGREE, LaurentPolynomial, LimitExceeded
 from recip.membership import (
     LINEAR_SYSTEM_INFEASIBLE,
+    MAX_SEARCH_SIZE,
     MEMBER,
     POLE_AT_ORIGIN,
     MembershipVerdict,
@@ -338,6 +339,62 @@ def test_witness_rejects_bad_bounds():
         brute_force_witness(RF("1/X^4"), S479, 0, 5, [Fraction(1)], seed=0)
     with pytest.raises(ValueError):
         brute_force_witness(RF("1/X^4"), S479, 2, 5, [Fraction(0)], seed=0)
+
+
+def test_single_denominator_of_an_unreduced_fraction():
+    # r = g/(g*d) keeps the common factor g; num(r) * d = den(r) still fixes
+    # d, so stage 1 finds it, as the enumerating search does.
+    rng = random.Random(61)
+    found = 0
+    for k in range(150):
+        g = LaurentPolynomial(1, {(0,): 1, (rng.randint(1, 4),): rng.choice((1, -1, 2))})
+        d = LaurentPolynomial(1, {(rng.randint(0, 9),): rng.choice((1, -1, 2, 3)) for _ in range(rng.randint(1, 3))})
+        r = RationalFunction._coprime(g, g * d)
+        assert len(r.num) == 2
+        witness = brute_force_witness(r, S479, 1, 9, (1, -1, 2), seed=k, random_trials=0)
+        expected = brute_force_witness_oracle(r, S479, 1, 9, (1, -1, 2), seed=k, random_trials=0)
+        assert (None if witness is None else witness.denominators) == expected, (r, d)
+        if witness is not None:
+            assert witness.denominators == (d,)
+            found += 1
+    assert 20 <= found <= 130, found
+
+
+def test_enumeration_builds_at_most_its_budget_of_monomials():
+    # The first 60,000 multisets use only the first 60,000 monomials, so a
+    # long pool at the degree limit (a million member-coefficient pairs)
+    # builds no more of them.
+    pool = range(1, 41)
+    tracemalloc.start()
+    try:
+        witness = brute_force_witness(RF("1/X^5"), S479, 1, MAX_DEGREE, pool, seed=0, random_trials=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert witness is None
+    assert peak < 64 * 2**20, peak
+
+
+def test_witness_search_limits(monkeypatch):
+    r = RF("1/X^4")
+    assert brute_force_witness(r, S479, 16, MAX_DEGREE, [1], seed=0, random_trials=1).denominators == (
+        parse_poly("X^4"),
+    )
+    assert brute_force_witness(r, S479, 3, 4, [1], seed=0, random_trials=MAX_SEARCH_SIZE // 8) is not None
+
+    def refuse(*args):
+        raise AssertionError("no candidate may be checked past a limit")
+
+    monkeypatch.setattr(membership, "_sums_to", refuse)
+    for max_terms, max_degree, trials in (
+        (1, MAX_DEGREE + 1, 0),
+        (17, 4, 0),
+        (16, 4, 2),
+        (3, 4, MAX_SEARCH_SIZE // 8 + 1),
+        (10**12, 4, -1),
+    ):
+        with pytest.raises(LimitExceeded):
+            brute_force_witness(r, S479, max_terms, max_degree, [1], seed=0, random_trials=trials)
 
 
 # -- the witness search checks sums without the gcd it cross-checks ----------------------

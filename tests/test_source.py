@@ -1,6 +1,8 @@
 """Source-level checks on the library package."""
 
 import ast
+import importlib
+import runpy
 from pathlib import Path
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "recip"
@@ -49,3 +51,20 @@ def test_every_declared_limit_is_in_the_readme():
     ]
     missing = [name for name in limits if f"`{name}`" not in section]
     assert len(limits) >= 4 and not missing, missing
+
+
+def test_every_traced_name_resolves():
+    # bench/tracer.py patches library functions and methods by name, so a
+    # rename would break `bench/run.py --trace 1`.  run_path compiles the
+    # file without importing it or writing bytecode.
+    tracer = runpy.run_path(str(SOURCE.parent.parent / "bench" / "tracer.py"))
+    missing = [
+        f"{module}.{attr}"
+        for module, attr in tracer["FUNCTIONS"].values()
+        if not callable(getattr(importlib.import_module(f"recip.{module}"), attr, None))
+    ] + [
+        f"{module}.{cls}.{attr}"
+        for module, cls, attr in tracer["METHODS"].values()
+        if attr not in vars(getattr(importlib.import_module(f"recip.{module}"), cls, object))
+    ]
+    assert tracer["FUNCTIONS"] and tracer["METHODS"] and not missing, missing
