@@ -28,8 +28,9 @@ were; it runs only on strata the lemma calls nonempty.
 
 The report derives N - t <= dim <= N from the number t of empty strata and
 pins the dimension exactly in the cases the theory settles: all strata
-nonempty (dim = N), the free-shift family below (dim = number of base
-coordinates), and nontrivial rank-1 monoids (dim = 1).
+nonempty (dim = N), and the free-shift family below (dim = number of base
+coordinates).  A nontrivial rank-1 monoid is the first case: its generators
+and family bases are lex-positive, so they lead at index 0.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from .semigroup import NumericalSemigroup
 
 EXACT_ALL_NONEMPTY = "AllNonempty"
 EXACT_FREE_SHIFT = "FreeShiftFamily"
-EXACT_RANK1 = "Rank1"
 
 # Rank n of free_shift_monoid(n, m): the monoid has m * (n - m) families of
 # n coordinates each, so its JSON grows as n^3.  At n = 100, m = 50 that is
@@ -258,8 +258,6 @@ def dimension_report(M: LexMonoid) -> DimensionReport:
         exact, source = M.rank, EXACT_ALL_NONEMPTY
     elif (m := _free_shift_shape(M)) is not None:
         exact, source = m, EXACT_FREE_SHIFT
-    elif M.rank == 1 and (M.generators or M.families):
-        exact, source = 1, EXACT_RANK1
     return DimensionReport(
         rank=M.rank,
         si_nonempty=flags,

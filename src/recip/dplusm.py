@@ -42,13 +42,12 @@ class KPlusMVerdict:
         return self.status == MEMBER
 
 
-def _top_y(poly: LaurentPolynomial) -> tuple[int, Fraction, LaurentPolynomial]:
-    """The top Y-degree of a nonzero polynomial, its lex-max coefficient and
-    its terms of top Y-degree (coordinate 0 is Y, so the lex-max exponent
-    has the top Y-degree)."""
-    lead = poly.lex_max_exponent()
-    top = LaurentPolynomial(poly.rank, [(e, c) for e, c in poly.terms() if e[0] == lead[0]])
-    return lead[0], poly.coeff(lead), top
+def _top_y(poly: LaurentPolynomial) -> tuple[int, LaurentPolynomial]:
+    """The top Y-degree of a nonzero polynomial and its terms of top
+    Y-degree (coordinate 0 is Y, so the lex-max exponent has the top
+    Y-degree)."""
+    top = poly.lex_max_exponent()[0]
+    return top, LaurentPolynomial(poly.rank, [(e, c) for e, c in poly.terms() if e[0] == top])
 
 
 def uniformizer_order(r: RationalFunction) -> int | None:
@@ -70,16 +69,16 @@ def kplusm_membership(r: RationalFunction, n: int) -> KPlusMVerdict:
         raise ValueError(f"expected a rank-{n} rational function")
     if r.is_zero():
         return KPlusMVerdict(MEMBER, Fraction(0), RationalFunction.zero(n))
-    jp, lead_num, top_num = _top_y(r.num)
-    jq, lead_den, top_den = _top_y(r.den)
+    jp, top_num = _top_y(r.num)
+    jq, top_den = _top_y(r.den)
     if jp > jq:
         return KPlusMVerdict(NOT_MEMBER)
     if jp < jq:
         return KPlusMVerdict(MEMBER, Fraction(0), r)
-    # Order zero: the value at T = 0 is top_num/top_den, a constant c exactly
-    # when top_num = c * top_den, and then c is the ratio of the lex-max terms.
-    value = lead_num / lead_den
-    if top_num != top_den.scale(value):
+    # Order zero: the value at T = 0 is top_num/top_den, a member exactly
+    # when it is a constant c, that is when top_num = c * top_den.
+    value = top_num.ratio(top_den)
+    if value is None:
         return KPlusMVerdict(NOT_MEMBER)
     maximal = r - value
     residual = uniformizer_order(maximal)

@@ -51,10 +51,7 @@ def greedy_egyptian(r: Fraction | int) -> EgyptianRepresentation:
 def is_egyptian_element(f: LaurentPolynomial) -> bool:
     """Whether an element of a positive-cone semigroup algebra is a finite
     sum of reciprocals of algebra elements: exactly the nonzero constants."""
-    origin = (0,) * f.rank
-    for exponent in f.support():
-        if exponent < origin:
-            raise ValueError("support must be lex-nonnegative")
+    f.require_lex_nonnegative()
     return not f.is_zero() and f.is_constant()
 
 

@@ -122,7 +122,17 @@ class LaurentPolynomial:
 
     def is_polynomial(self) -> bool:
         """True when every exponent is componentwise nonnegative."""
-        return all(all(e >= 0 for e in exp) for exp in self._terms)
+        return all(e >= 0 for exp in self._terms for e in exp)
+
+    def require_polynomial(self) -> None:
+        """Raise ValueError unless ``is_polynomial``."""
+        if not self.is_polynomial():
+            raise ValueError("negative exponents: not a polynomial")
+
+    def require_lex_nonnegative(self) -> None:
+        """Raise ValueError unless every exponent is lex >= 0."""
+        if self._terms and min(self._terms) < (0,) * self.rank:
+            raise ValueError("support must be lex-nonnegative")
 
     def degree(self) -> int:
         """Largest exponent of a nonzero rank-1 polynomial."""
@@ -148,6 +158,22 @@ class LaurentPolynomial:
         num = math.gcd(*(c.numerator for c in self._terms.values()))
         den = math.lcm(*(c.denominator for c in self._terms.values()))
         return Fraction(num, den)
+
+    def signed_content(self) -> Fraction:
+        """The content signed like the lex-max coefficient, so that
+        self / signed_content() has coprime integer coefficients and a
+        positive lex-max coefficient.  Returns 0 for the zero polynomial."""
+        c = self.content()
+        return -c if self._terms and self._terms[max(self._terms)] < 0 else c
+
+    def ratio(self, other: "LaurentPolynomial") -> Fraction | None:
+        """The c with self = c * other, or None when there is none.
+
+        Returns 0 for a zero self; a zero other raises ValueError.
+        """
+        lead = other.lex_max_exponent()
+        c = self._terms.get(lead, _ZERO) / other._terms[lead]
+        return c if self == other.scale(c) else None
 
     # -- arithmetic ----------------------------------------------------
 
@@ -336,8 +362,7 @@ def dense_coeffs(poly: LaurentPolynomial) -> list[Fraction]:
     poly._require_rank1()
     if poly.is_zero():
         return []
-    if poly.low_degree() < 0:
-        raise ValueError("negative exponents: not a polynomial")
+    poly.require_polynomial()
     if poly.degree() > MAX_DEGREE:
         raise LimitExceeded(f"polynomial degree exceeds the limit {MAX_DEGREE}")
     coeffs = [_ZERO] * (poly.degree() + 1)
@@ -396,9 +421,4 @@ def poly_gcd(a: LaurentPolynomial, b: LaurentPolynomial) -> LaurentPolynomial:
         _, x = _dense_divmod(x, y)
         x, y = y, x
     g = from_dense(x)
-    if g.is_zero():
-        return g
-    c = g.content()
-    if g.coeff(g.lex_max_exponent()) < 0:
-        c = -c
-    return g.scale(1 / c)
+    return g.scale(1 / g.signed_content()) if g else g

@@ -77,7 +77,8 @@ Shape = tuple[int, int, tuple[int, ...]]  # term count, coefficient width, suppo
 class _Factor(NamedTuple):
     """An atom with its power (a negative one already applied to the atom as
     its inverse) and sign, not yet multiplied out, so that a product's size
-    is checked before either operand's power is computed."""
+    is checked before either operand's power is computed.  A parenthesised
+    group passes its factor through unforced."""
 
     atom: RationalFunction
     exponent: int | None = None
@@ -131,21 +132,21 @@ class _Parser:
     # -- grammar ----------------------------------------------------------
 
     def parse(self) -> RationalFunction:
-        value = self.expr()
+        factor = self.expr()
         kind, token, pos = self.peek()
         if kind != "end":
             raise ParseError(f"unexpected token {token!r}", pos)
-        return value
+        return factor.value()
 
-    def expr(self) -> RationalFunction:
-        value = self.product()
+    def expr(self) -> _Factor:
+        left = self.product()
         while (op := self.at_op("+", "-")) is not None:
             self.advance()
-            rhs = self.product()
-            value = value + rhs if op == "+" else value - rhs
-        return value
+            value, rhs = left.value(), self.product().value()
+            left = _Factor(value + rhs if op == "+" else value - rhs)
+        return left
 
-    def product(self) -> RationalFunction:
+    def product(self) -> _Factor:
         left = self.unary()
         while (op := self.at_op("*", "/")) is not None:
             _, _, pos = self.advance()
@@ -163,43 +164,47 @@ class _Parser:
                     raise ParseError("division by zero", pos)
                 value = value / rhs_value
             left = _Factor(value)
-        return left.value()
+        return left
 
     def unary(self) -> _Factor:
         negative = False
         while (op := self.at_op("+", "-")) is not None:
             self.advance()
             negative ^= op == "-"
-        return self.power()._replace(negative=negative)
+        factor = self.power()
+        return factor._replace(negative=factor.negative ^ negative)
 
     def power(self) -> _Factor:
-        atom = self.atom()
+        operand = self.atom()
         if not self.at_op("^"):
-            return _Factor(atom)
+            return operand
         _, _, pos = self.advance()
         exponent = self.signed_int()
+        atom = operand.value()
         factor = _Factor(atom, abs(exponent))
         if sum(map(_size, factor.shapes())) > MAX_POWER_SIZE:
             raise LimitExceeded(f"power at position {pos} exceeds the size limit {MAX_POWER_SIZE}")
         return factor if exponent >= 0 else factor._replace(atom=atom.inverse())
 
-    def atom(self) -> RationalFunction:
+    def atom(self) -> _Factor:
+        """A number, a variable, or a parenthesised group left unforced, so
+        that a product checks the group's estimated size before computing it."""
         kind, token, pos = self.peek()
         if kind == "int":
             self.advance()
-            return RationalFunction.from_scalar(self.rank, Fraction(int(token)))
+            return _Factor(RationalFunction.from_scalar(self.rank, Fraction(int(token))))
         if kind == "name":
             self.advance()
-            return self.variable(token, pos)
+            return _Factor(self.variable(token, pos))
         if kind == "op" and token == "(":
             if self.depth == MAX_NESTING:
                 raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", pos)
             self.advance()
             self.depth += 1
-            value = self.expr()
+            factor = self.expr()
             self.depth -= 1
             self.expect_op(")")
-            return value
+            return factor
         raise ParseError("expected a number, variable, or '('", pos)
 
     def variable(self, name: str, pos: int) -> RationalFunction:
@@ -304,13 +309,13 @@ def parse_ratfunc(text: str, rank: int = 1, names: tuple[str, ...] = ("X",)) -> 
 def parse_poly(text: str, rank: int = 1, names: tuple[str, ...] = ("X",)) -> LaurentPolynomial:
     """Parse an expression and require it to be a Laurent polynomial.
 
-    Monomial denominators are folded back into negative exponents.
+    A one-term denominator, always X^e with coefficient 1, is folded back
+    into negative exponents.
     """
     value = parse_ratfunc(text, rank, names)
     if len(value.den) != 1:
         raise ParseError("expression is not a polynomial", 0)
-    exponent, coeff = next(value.den.terms())
-    return value.num.shift(tuple(-e for e in exponent)).scale(1 / coeff)
+    return value.num.shift(tuple(-e for e in value.den.lex_min_exponent()))
 
 
 def parse_rational(text: str) -> Fraction:

@@ -92,17 +92,7 @@ class RationalFunction:
 
     def constant_value(self) -> Fraction | None:
         """The value as a Fraction if the function is a constant, else None."""
-        if self.num.is_zero():
-            return Fraction(0)
-        nmin = self.num.lex_min_exponent()
-        dmin = self.den.lex_min_exponent()
-        if nmin != dmin:
-            return None
-        c = self.num.coeff(nmin) / self.den.coeff(dmin)
-        return c if self.num == self.den.scale(c) else None
-
-    def is_constant(self) -> bool:
-        return self.constant_value() is not None
+        return self.num.ratio(self.den)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -214,10 +204,8 @@ def _primitive(
 ) -> tuple[LaurentPolynomial, LaurentPolynomial]:
     """Scale both sides so that den has coprime integer coefficients and a
     positive lex-max coefficient."""
-    scale = den.content()
-    if den.coeff(den.lex_max_exponent()) < 0:
-        scale = -scale
-    return num.scale(1 / scale), den.scale(1 / scale)
+    scale = 1 / den.signed_content()
+    return num.scale(scale), den.scale(scale)
 
 
 def format_ratfunc(r: RationalFunction, names: tuple[str, ...] = ("X",)) -> str:
@@ -228,7 +216,7 @@ def format_ratfunc(r: RationalFunction, names: tuple[str, ...] = ("X",)) -> str:
     den = format_poly(r.den, names)
     if len(r.num) > 1:
         num = f"({num})"
-    if len(r.den) > 1 or "*" in den or den.startswith("-"):
+    if len(r.den) > 1 or "*" in den:
         den = f"({den})"
     return f"{num}/{den}"
 
@@ -289,10 +277,7 @@ def sigma_of_reciprocal(f: LaurentPolynomial) -> RationalFunction:
     """
     if f.is_zero():
         raise ValueError("zero has no reciprocal")
-    origin = (0,) * f.rank
-    for exponent in f.support():
-        if exponent < origin:
-            raise ValueError("support must be lex-nonnegative")
+    f.require_lex_nonnegative()
     return sigma_map(RationalFunction(LaurentPolynomial.one(f.rank), f))
 
 

@@ -7,26 +7,25 @@ value does not depend on the chosen representation.  Nonnegative value
 characterizes membership in the valuation ring of the full positive cone.
 
 ``euclid_divide`` divides rank-1 polynomials through the reversed-coefficient
-recursion that the valuation structure induces: with e = deg a - deg b,
-u = lc(a)/lc(b), and a_i, b_i the coefficients i places below the leading
-ones, the quotient coefficients are
+recursion that the valuation structure induces: with e = deg a - deg b and
+a_i, b_i the coefficients i places below the leading ones, the quotient
+coefficients are
 
-    c_i = (a_i - u*b_i - sum_{j+k=i, j,k>=1} b_j c_k) / lc(b),  i = 1..e,
+    c_i = (a_i - sum_{j+k=i, j>=1} b_j c_k) / b_0,  i = 0..e,
 
-giving q = u*y^e + sum c_i y^(e-i) and r = a - b*q with deg r < deg b or
-r = 0.  Only j <= deg b has b_j != 0, so the recursion costs O(e * deg b)
-steps; a dividend of degree above ``laurent.MAX_DEGREE`` is refused.  Since
-quotient and remainder with deg r < deg b are unique, this agrees with
-classical long division (``classical_divide``), which is kept as an
-independent cross-check.
+so c_0 = lc(a)/lc(b), giving q = sum c_i y^(e-i) and r = a - b*q with
+deg r < deg b or r = 0.  Only j <= deg b has b_j != 0, so the recursion
+costs O(e * deg b) steps; a dividend of degree above ``laurent.MAX_DEGREE``
+is refused.  Since quotient and remainder with deg r < deg b are unique,
+this agrees with classical long division (``classical_divide``), which is
+kept as an independent cross-check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .laurent import MAX_DEGREE, LaurentPolynomial, LimitExceeded, poly_divmod
+from .laurent import LaurentPolynomial, dense_coeffs, poly_divmod
 from .ratfunc import RationalFunction
 
 
@@ -99,8 +98,7 @@ def euclid_f(a: LaurentPolynomial) -> int:
         raise ValueError("rank-1 polynomial required")
     if a.is_zero():
         raise ValueError("the zero polynomial has no Euclidean size")
-    if a.low_degree() < 0:
-        raise ValueError("negative exponents: not a polynomial")
+    a.require_polynomial()
     return a.degree()
 
 
@@ -112,33 +110,26 @@ def euclid_divide(
     Returns (q, r) with a = b*q + r and r = 0 or deg r < deg b.  When b
     divides a the recursion yields r = 0 on its own (the pair with
     deg r < deg b is unique), and deg a < deg b short-circuits to (0, a).
-    Otherwise a degree of a above ``MAX_DEGREE`` raises LimitExceeded.
+    Otherwise a degree of a above ``laurent.MAX_DEGREE`` raises
+    LimitExceeded.
     """
     for poly in (a, b):
         if poly.rank != 1:
             raise ValueError("rank-1 polynomials required")
-        if not poly.is_zero() and poly.low_degree() < 0:
-            raise ValueError("negative exponents: not a polynomial")
+        poly.require_polynomial()
     if b.is_zero():
         raise ZeroDivisionError("division by zero")
     if a.is_zero():
         return LaurentPolynomial.zero(1), LaurentPolynomial.zero(1)
-    deg_a = a.degree()
-    deg_b = b.degree()
-    if deg_a < deg_b:
+    if a.degree() < b.degree():
         return LaurentPolynomial.zero(1), a
-    if deg_a > MAX_DEGREE:
-        raise LimitExceeded(f"polynomial degree exceeds the limit {MAX_DEGREE}")
-    e = deg_a - deg_b
-    u2 = b.coeff((deg_b,))
-    u = a.coeff((deg_a,)) / u2
-    c: dict[int, Fraction] = {}
-    for i in range(1, e + 1):
-        tail = sum(
-            (b.coeff((deg_b - j,)) * c[i - j] for j in range(1, min(i, deg_b + 1))), Fraction(0)
-        )
-        c[i] = (a.coeff((deg_a - i,)) - u * b.coeff((deg_b - i,)) - tail) / u2
-    q = LaurentPolynomial(1, {(e,): u, **{(e - i,): c[i] for i in range(1, e + 1) if c[i] != 0}})
+    ra, rb = dense_coeffs(a)[::-1], dense_coeffs(b)[::-1]
+    deg_b, e = len(rb) - 1, len(ra) - len(rb)
+    c = []
+    for i in range(e + 1):
+        tail = sum(rb[j] * c[i - j] for j in range(1, min(i, deg_b) + 1))
+        c.append((ra[i] - tail) / rb[0])
+    q = LaurentPolynomial(1, {(e - i,): ci for i, ci in enumerate(c)})
     r = a - b * q
     if not (r.is_zero() or r.degree() < deg_b):
         raise RuntimeError("euclid_divide: remainder degree not below the divisor degree")

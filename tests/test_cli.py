@@ -154,6 +154,18 @@ def test_product_limit_exits_two_quickly():
         assert err == "error: product at position 9 exceeds the size limit 1048576\n", expr
 
 
+def test_parenthesised_factor_limit_exits_two_quickly():
+    # A parenthesised factor stays deferred, so the product is checked before
+    # its power is computed (1.2-1.5 s when the group was forced first).
+    for expr, pos in (("(X+1)^700*((X+1)^700)", 9), ("-((X+1)^700)*(X+1)^700", 12),
+                      ("(((X+1)^700))/((X+1)^-700)", 13)):
+        start = time.perf_counter()
+        code, out, err = run_cli("member", "--gens", "4,7,9", "--expr", expr)
+        assert time.perf_counter() - start < 1.0, expr
+        assert (code, out) == (2, ""), expr
+        assert err == f"error: product at position {pos} exceeds the size limit 1048576\n", expr
+
+
 def test_powers_within_the_limit_still_answer():
     member = '{"status":"Member","certificate":"1"}\n'
     pole = '{"status":"NotMember","obstruction":"PoleAtOrigin"}\n'
@@ -307,6 +319,16 @@ def test_oracle_single_denominator_is_computed():
     payload = run_json("oracle", "--gens", "4,7,9", "--expr", "1/(X^4 - X^7)", "--max-terms", "1",
                        "--max-degree", "300", "--coeffs", "1,-1,2", "--trials", "0")
     assert payload["witness"] == ["X^4 - X^7"]
+
+
+def test_oracle_screens_candidates_by_end_terms():
+    # Each of the 2,415 enumerated pairs is rejected by its lowest and highest
+    # terms before the products with the 101-term den(r) (4.5 s in full).
+    start = time.perf_counter()
+    payload = run_json("oracle", "--gens", "4,7,9", "--expr", "1/(X+1)^100", "--max-terms", "2",
+                       "--max-degree", "30", "--coeffs", "1,-1,2", "--trials", "0")
+    assert time.perf_counter() - start < 1.0
+    assert payload == {"seed": 0, "witness": None}
 
 
 def test_oracle_limits_exit_two_quickly():

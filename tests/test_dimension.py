@@ -292,6 +292,20 @@ def test_report_rank1_semigroup():
     assert report.exact_source == EXACT_ALL_NONEMPTY
 
 
+def test_every_nontrivial_rank1_monoid_has_all_strata_nonempty():
+    # A lex-positive rank-1 vector leads at index 0, so the report of any
+    # rank-1 monoid with a generator or family pins dim = 1 by AllNonempty.
+    rng = random.Random(29)
+    for _ in range(200):
+        generators = tuple((rng.randint(1, 50),) for _ in range(rng.randint(0, 3)))
+        families = tuple(ShiftFamily((rng.randint(1, 50),), frozenset()) for _ in range(rng.randint(0, 2)))
+        if not generators and not families:
+            continue
+        report = dimension_report(LexMonoid(rank=1, generators=generators, families=families))
+        assert (report.exact, report.exact_source) == (1, EXACT_ALL_NONEMPTY)
+    assert dimension_report(LexMonoid(rank=1)).exact is None
+
+
 def test_free_shift_monoid_shapes():
     assert free_shift_monoid(2, 1) == EX_FAMILY
     M42 = free_shift_monoid(4, 2)

@@ -100,6 +100,63 @@ def test_content():
     assert LaurentPolynomial.zero(1).content() == 0
 
 
+def test_signed_content_contract():
+    assert LaurentPolynomial.zero(2).signed_content() == 0
+    p = LaurentPolynomial(1, {(0,): Fraction(2, 3), (1,): Fraction(-4, 9)})
+    assert p.signed_content() == Fraction(-2, 9)
+    assert (-p).signed_content() == Fraction(2, 9)
+    rng = random.Random(11)
+    for rank in (1, 2, 3):
+        for _ in range(40):
+            p = random_poly(rng, rank)
+            if p.is_zero():
+                continue
+            unit = p.signed_content()
+            primitive = p.scale(1 / unit)
+            assert abs(unit) == p.content() and primitive.content() == 1
+            assert primitive.coeff(primitive.lex_max_exponent()) > 0
+
+
+def test_ratio_contract():
+    q = LaurentPolynomial(2, {(1, 0): 3, (0, 2): -1})
+    assert LaurentPolynomial.zero(2).ratio(q) == 0
+    with pytest.raises(ValueError):
+        q.ratio(LaurentPolynomial.zero(2))
+    assert q.scale(Fraction(-5, 7)).ratio(q) == Fraction(-5, 7)
+    assert q.ratio(-q) == -1
+    assert q.ratio(LaurentPolynomial(2, {(1, 0): 3, (0, 2): 1})) is None  # same support
+    assert q.ratio(LaurentPolynomial(2, {(1, 0): 3})) is None  # fewer terms
+    assert q.ratio(LaurentPolynomial(2, {(1, 0): 3, (0, 3): -1})) is None  # other support
+    rng = random.Random(12)
+    proportional_pairs = 0
+    for _ in range(400):
+        a, b = random_poly(rng, 2, max_terms=2, span=1), random_poly(rng, 2, max_terms=2, span=1)
+        if b.is_zero():
+            continue
+        # Proportional exactly when a is zero, or the supports agree and
+        # every 2x2 minor of the coefficient pairs vanishes.
+        support = a.support()
+        proportional = a.is_zero() or (support == b.support() and all(
+            a.coeff(e) * b.coeff(f) == a.coeff(f) * b.coeff(e) for e in support for f in support
+        ))
+        c = a.ratio(b)
+        assert (c is not None) == proportional, (a, b)
+        assert c is None or a == b.scale(c)
+        proportional_pairs += proportional
+    assert proportional_pairs >= 20
+
+
+def test_validity_checks_raise_one_message_each():
+    with pytest.raises(ValueError, match="negative exponents: not a polynomial"):
+        parse_poly("X^-1 + 1").require_polynomial()
+    parse_poly("X + 1").require_polynomial()
+    LaurentPolynomial.zero(1).require_polynomial()
+    with pytest.raises(ValueError, match="support must be lex-nonnegative"):
+        LaurentPolynomial(2, {(1, 0): 1, (0, -1): 1}).require_lex_nonnegative()
+    LaurentPolynomial(2, {(1, -5): 1, (0, 0): 1}).require_lex_nonnegative()
+    LaurentPolynomial.zero(2).require_lex_nonnegative()
+
+
 def test_dense_round_trip():
     p = from_dense([1, 0, Fraction(3, 2)])
     assert dense_coeffs(p) == [1, 0, Fraction(3, 2)]

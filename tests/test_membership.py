@@ -505,6 +505,43 @@ def test_witness_search_matches_the_gcd_based_search():
     assert found >= 50 and missing >= 50, (found, missing)
 
 
+def plain_sums_to(denominators, r):
+    """sum(1/d_i) = r by cross-multiplying in full, with no end-term screen."""
+    num, den = LaurentPolynomial.zero(1), LaurentPolynomial.one(1)
+    for d in denominators:
+        num, den = num * d + den, den * d
+    return num * r.den == r.num * den
+
+
+def test_screened_sum_check_matches_plain_cross_multiplication():
+    rng = random.Random(4099)
+    outcomes = []
+    for k in range(600):
+        ds = [random_nonzero_poly(rng, polynomial=True, max_terms=3, span=5)
+              for _ in range(rng.randint(1, 3))]
+        kind = k % 6
+        if kind == 0:  # the exact sum, reached unreduced or reduced
+            r = normalize_reciprocal_sum(ds)
+        elif kind == 1:  # a cancelling pair: N = 0
+            ds += [-ds[0]]
+            r = rng.choice((RationalFunction.zero(1), normalize_reciprocal_sum(ds[:1])))
+        elif kind == 2:  # r = 0 against a nonzero sum
+            r = RationalFunction.zero(1)
+        elif kind == 3:  # the exact sum with its numerator perturbed at one end
+            value = normalize_reciprocal_sum(ds)
+            r = RationalFunction(value.num + LaurentPolynomial.monomial(1, (rng.randint(0, 8),)), value.den)
+        elif kind == 4:  # the sum of a second candidate
+            r = normalize_reciprocal_sum([random_nonzero_poly(rng, polynomial=True, max_terms=3, span=5)])
+        else:  # an arbitrary fraction, unreduced
+            c = random_nonzero_poly(rng, polynomial=True, max_terms=2, span=2)
+            r = RationalFunction._coprime(random_poly(rng, polynomial=True) * c,
+                                          random_nonzero_poly(rng, polynomial=True) * c)
+        expected = plain_sums_to(ds, r)
+        assert membership._sums_to(ds, r) == expected, (ds, r)
+        outcomes.append(expected)
+    assert outcomes.count(True) >= 100 and outcomes.count(False) >= 300
+
+
 def test_witness_search_takes_no_gcd(monkeypatch):
     cases = [
         (RF("1/X^4 + 1/X^7"), 2, 12, (1, -1), 3, (parse_poly("X^4"), parse_poly("X^7"))),

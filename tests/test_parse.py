@@ -61,6 +61,22 @@ def test_powers_of_parenthesized_expressions():
     assert parse_ratfunc("2^3").constant_value() == 8
 
 
+def test_parenthesised_factors_keep_their_value():
+    # Groups pass their sign and power through unforced; the value is the same.
+    for bare, grouped in (
+        ("(1+X)^2*(1+X)", "((1+X)^2)*((1+X))"),
+        ("-(1+X)^2/(1-X)^3", "-((1+X)^2)/((1-X)^3)"),
+        ("-(1+X)^-2*X", "(-((1+X)^-2))*(X)"),
+        ("(1+X)^2", "((-(1+X)))^2"),
+        ("-X", "-(-(-X))"),
+        ("2^3*X", "(2^3)*(X)"),
+    ):
+        assert parse_ratfunc(grouped) == parse_ratfunc(bare), grouped
+    with pytest.raises(ParseError) as info:
+        parse_ratfunc("((1+X)^2)/(0)")
+    assert info.value.position == 9
+
+
 def test_parse_errors_report_position():
     with pytest.raises(ParseError) as info:
         parse_ratfunc("X^")

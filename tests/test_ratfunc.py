@@ -213,6 +213,24 @@ def test_gcd_free_paths_match_the_reducing_constructor():
             assert value.num.is_polynomial() or rank > 1
 
 
+def test_one_term_denominators_are_monic_monomials():
+    # format_ratfunc and parse_poly rely on this: in every rank, a one-term
+    # denominator is X^e with coefficient 1, so it never prints a sign and
+    # folds back into negative exponents without rescaling.
+    rng = random.Random(61)
+    seen = 0
+    for _ in range(300):
+        rank = rng.choice((1, 2, 3))
+        r = random_ratfunc(rng, rank)
+        s = random_ratfunc(rng, rank)
+        values = [r, r + s, r * s] + [value for _, value, _ in _unary_images(r)]
+        for value in values:
+            if len(value.den) == 1:
+                seen += 1
+                assert [c for _, c in value.den.terms()] == [1], value
+    assert seen > 500
+
+
 def _to_sympy(poly, x):
     import sympy
 

@@ -68,3 +68,24 @@ def test_every_traced_name_resolves():
         if attr not in vars(getattr(importlib.import_module(f"recip.{module}"), cls, object))
     ]
     assert tracer["FUNCTIONS"] and tracer["METHODS"] and not missing, missing
+
+
+def test_every_top_level_import_is_used():
+    # A name imported at module level and never read is a leftover of a
+    # deletion.  __init__.py imports to re-export, and __future__ imports
+    # are compiler directives, so both are exempt.
+    unused = []
+    for path in sorted(SOURCE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = [
+            (alias.asname or alias.name).split(".")[0]
+            for node in tree.body
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+            for alias in node.names
+        ]
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}: {name}" for name in imported if name not in used]
+    assert SOURCE.is_dir() and not unused, unused
