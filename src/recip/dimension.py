@@ -124,7 +124,7 @@ def si_witness(M: LexMonoid, i: int) -> tuple[int, ...] | None:
     gens = M.generators
     for mask in range(1 << len(M.families)):
         used = [f for k, f in enumerate(M.families) if mask >> k & 1]
-        covered = set().union(*(f.free for f in used)) if used else set()
+        covered = set().union(*[f.free for f in used])
         nvars = len(gens) + len(used)
         constraints: list[Constraint] = []
         for v in range(nvars):

@@ -63,8 +63,8 @@ def _normalized(coeffs: tuple[Fraction, ...], bound: Fraction) -> Constraint:
     if not values:
         return coeffs, bound
     g = Fraction(
-        math.gcd(*(v.numerator for v in values)),
-        math.lcm(*(v.denominator for v in values)),
+        math.gcd(*[v.numerator for v in values]),
+        math.lcm(*[v.denominator for v in values]),
     )
     return tuple(c / g for c in coeffs), bound / g
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable
 
 from .laurent import (
     LaurentPolynomial,
@@ -30,15 +30,17 @@ from .laurent import (
     poly_gcd,
 )
 
-PolyLike = Union[int, Fraction, LaurentPolynomial]
-
 
 class RationalFunction:
     """A quotient num/den of Laurent polynomials with den != 0."""
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: PolyLike, den: PolyLike | None = None):
+    def __init__(
+        self,
+        num: int | Fraction | LaurentPolynomial,
+        den: int | Fraction | LaurentPolynomial | None = None,
+    ):
         if isinstance(num, (int, Fraction)):
             if isinstance(den, LaurentPolynomial):
                 num = LaurentPolynomial.constant(den.rank, num)

@@ -1,14 +1,17 @@
 """Core Laurent-polynomial arithmetic: construction, ring axioms, helpers."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
+from recip import laurent
 from recip.laurent import (
     MAX_DEGREE,
     LaurentPolynomial,
     LimitExceeded,
+    _dense_divmod,
     dense_coeffs,
     format_poly,
     from_dense,
@@ -171,6 +174,8 @@ def test_dense_path_refuses_degrees_above_the_limit():
     with pytest.raises(LimitExceeded):
         poly_gcd(huge, parse_poly("X + 2"))
     with pytest.raises(LimitExceeded):
+        poly_gcd(parse_poly("X + 2"), huge)
+    with pytest.raises(LimitExceeded):
         poly_divmod(huge, parse_poly("X + 2"))
 
 
@@ -204,6 +209,105 @@ def test_poly_gcd_divides_both_and_is_normalized():
             assert rem.is_zero()  # g divides the gcd
         assert d.content() == 1
         assert d.coeff(d.lex_max_exponent()) > 0
+
+
+def euclid_gcd(a: LaurentPolynomial, b: LaurentPolynomial) -> LaurentPolynomial:
+    """The Euclid-over-Q poly_gcd as it was before the heuristic gcd: the oracle."""
+    x, y = dense_coeffs(a), dense_coeffs(b)
+    while y:
+        _, x = _dense_divmod(x, y)
+        x, y = y, x
+    g = from_dense(x)
+    return g.scale(1 / g.signed_content()) if g else g
+
+
+def planted_pairs(seed: int, count: int):
+    """Seeded pairs (g*a, g*b) with a planted common factor g: random dense
+    rational coefficients, zero polynomials, constants, powers of X and
+    repeated factors all occur."""
+    rng = random.Random(seed)
+
+    def dense(max_degree: int, height: int) -> LaurentPolynomial:
+        degree = rng.randint(0, max_degree)
+        return from_dense(
+            [Fraction(rng.randint(-height, height), rng.choice((1, 1, 2, 3, 5))) for _ in range(degree)]
+            + [Fraction(rng.choice((-1, 1)) * rng.randint(1, height), rng.randint(1, 4))]
+        )
+
+    for k in range(count):
+        g = dense(6, 9) * LaurentPolynomial.monomial(1, (rng.randint(0, 2),))
+        if k % 5 == 0:
+            g = g * g
+        a, b = dense(6, 9), dense(6, 9)
+        if k % 17 == 0:
+            a = LaurentPolynomial.zero(1)
+        yield g * a, g * b
+
+
+def test_poly_gcd_matches_the_euclid_oracle_on_planted_factors():
+    for a, b in planted_pairs(21, 300):
+        d = poly_gcd(a, b)
+        assert d == euclid_gcd(a, b), (a, b)
+        assert d == poly_gcd(b, a)
+        assert all(c.denominator == 1 for _, c in d.terms())
+        assert d.signed_content() == 1  # the one unit; the gcd is never zero here
+
+
+def test_poly_gcd_normal_form_examples():
+    assert poly_gcd(LaurentPolynomial.zero(1), LaurentPolynomial.zero(1)).is_zero()
+    assert poly_gcd(parse_poly("-2/3*X - 4/3"), LaurentPolynomial.zero(1)) == parse_poly("X + 2")
+    assert poly_gcd(parse_poly("X^2 - 1"), parse_poly("6*X - 6")) == parse_poly("X - 1")
+    assert poly_gcd(parse_poly("1 - X^2"), parse_poly("-X - 1")) == parse_poly("X + 1")
+    assert poly_gcd(parse_poly("X^3"), parse_poly("X^2 + X")) == parse_poly("X")
+
+
+def test_poly_gcd_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+
+    def to_sympy(p: LaurentPolynomial):
+        return sympy.Poly(list(reversed(dense_coeffs(p))), x, domain=sympy.QQ)
+
+    for a, b in planted_pairs(23, 60):
+        d = poly_gcd(a, b)
+        assert to_sympy(d).monic() == to_sympy(a).gcd(to_sympy(b)).monic()
+
+
+def test_poly_gcd_fallback_gives_the_same_result(monkeypatch):
+    pairs = list(planted_pairs(24, 80))
+    fast = [poly_gcd(a, b) for a, b in pairs]
+    checks = []
+
+    def never_divides(d, f):
+        checks.append(len(d))
+        return False
+
+    monkeypatch.setattr(laurent, "_divides", never_divides)
+    for (a, b), expected in zip(pairs, fast):
+        before = len(checks)
+        assert poly_gcd(a, b) == expected
+        assert len(checks) - before == (0 if a.is_zero() else 6)  # six values of xi, then Euclid
+
+
+def _int_product(p: list[int], q: list[int]) -> list[int]:
+    out = [0] * (len(p) + len(q) - 1)
+    for i, u in enumerate(p):
+        for j, v in enumerate(q):
+            out[i + j] += u * v
+    return out
+
+
+def test_poly_gcd_of_degree_1000_polynomials_is_fast():
+    # A degree-500 common factor of two degree-1,000 polynomials.  Euclid
+    # over Q ran past 300 s already at degree 300.
+    rng = random.Random(25)
+    common, a, b = ([rng.randint(-5, 5) for _ in range(500)] + [1] for _ in range(3))
+    left = from_dense(_int_product(common, a))
+    right = from_dense(_int_product(common, b))
+    start = time.perf_counter()
+    d = poly_gcd(left, right)
+    assert time.perf_counter() - start < 1.0
+    assert d == from_dense(common)
 
 
 def test_format_rank1():

@@ -1,5 +1,6 @@
 """Text grammar: round trips, error positions, variable modes."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -195,3 +196,12 @@ def test_product_size_limit_boundaries():
     # Division by zero is still found before the quotient is formed.
     with pytest.raises(ParseError, match="division by zero at position 1"):
         parse_ratfunc("1/0^2")
+
+
+def test_sum_of_high_powers_is_fast():
+    # Each summand is far inside MAX_POWER_SIZE; the cost is the degree-200
+    # gcd of the sum, which Euclid over Q took 62.5 s to compute.
+    start = time.perf_counter()
+    r = parse_ratfunc("1/(X+1)^100 + 1/(X+2)^100")
+    assert time.perf_counter() - start < 1.0
+    assert (r.num.degree(), r.den.degree()) == (100, 200)

@@ -2,7 +2,10 @@
 
 import ast
 import importlib
+import os
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "recip"
@@ -89,3 +92,48 @@ def test_every_top_level_import_is_used():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}: {name}" for name in imported if name not in used]
     assert SOURCE.is_dir() and not unused, unused
+
+
+def test_no_generator_is_a_starred_argument():
+    # f(*(x for x in xs)) builds its argument tuple at a guessed size and
+    # resizes it, so the tuple is freed to another size's free list; over
+    # many calls the free lists of every size fill with idle tuples.  A list
+    # has its size before the tuple is built.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SOURCE.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        for arg in node.args
+        if isinstance(arg, ast.Starred) and isinstance(arg.value, ast.GeneratorExp)
+    ]
+    assert SOURCE.is_dir() and not found, found
+
+
+RE_IMPORT = """
+import gc, importlib, pkgutil, sys, weakref
+
+def load():
+    for name in [m for m in sys.modules if m == "recip" or m.startswith("recip.")]:
+        del sys.modules[name]
+    package = importlib.import_module("recip")
+    for module in pkgutil.iter_modules(package.__path__):
+        if module.name != "__main__":
+            importlib.import_module(f"recip.{module.name}")
+    return package.laurent.LaurentPolynomial
+
+old = weakref.ref(load())
+load()
+gc.collect()
+print(old() is None)
+"""
+
+
+def test_a_re_imported_package_frees_the_old_one():
+    # Nothing process-wide (a typing cache, say) may keep a class of an old
+    # import alive, so that re-importing recip does not pile up copies.
+    env = {**os.environ, "PYTHONPATH": str(SOURCE.parent)}
+    result = subprocess.run(
+        [sys.executable, "-c", RE_IMPORT], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout.strip() == "True"
