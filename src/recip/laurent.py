@@ -6,14 +6,22 @@ monomial order used everywhere in this package, so no wrapper type is needed.
 Coefficients are ``fractions.Fraction``; all arithmetic is exact.
 
 Instances are immutable by convention: every operation returns a fresh
-polynomial and nothing mutates ``_terms`` after construction.  Term iteration
-is always in ascending lexicographic order, so formatting and downstream
-computations are reproducible.
+polynomial (or the same one, when scaling by 1) and nothing mutates
+``_terms`` after construction.  Term iteration is always in ascending
+lexicographic order, so formatting and downstream computations are
+reproducible.
 
-The rank-1 gcd runs over Z: the heuristic gcd of Char, Geddes and Gonnet
+Rank-1 arithmetic that must stay in lowest terms runs over Z.  A rank-1
+polynomial over Z is a sparse map {degree: int}; ``int_form`` turns a
+polynomial into one (with a common denominator), ``int_product_sum``
+multiplies and adds them, and ``from_int_form`` builds the Fractions back.
+Their gcd, ``int_gcd``, is the heuristic gcd of Char, Geddes and Gonnet
 (one integer gcd of two values, read back in base xi and checked by exact
-division) answers almost every call, and Euclid's algorithm over Q is the
-fallback when it gives up.
+division, which also gives the cofactors); it answers almost every call,
+and Euclid's algorithm over Q is the fallback when it gives up.  The gcd
+builds dense coefficient lists only after its ``MAX_DEGREE`` check, and
+only to divide by a candidate; ``poly_gcd`` is the same gcd on
+``LaurentPolynomial``s.
 """
 
 from __future__ import annotations
@@ -27,11 +35,11 @@ Scalar = Union[int, Fraction]
 
 _ZERO = Fraction(0)
 
-# The dense rank-1 helpers below refuse degrees above this.  On
-# (X^30000 + 1)/(X + 2) the heuristic gcd takes about 0.2 s.  Euclid's gcd,
-# now only the fallback, takes about 1.3 s and 76 MB end to end there (2-vCPU
-# VM), because its remainders carry coefficients up to 2^30000; its time and
-# memory grow about quadratically in the degree.
+# The rank-1 gcd and the dense helpers below refuse degrees above this.
+# Euclid's gcd, only the fallback of the heuristic gcd, takes about 1.3 s
+# and 76 MB on X^30000 + 1 and X + 2 (2-vCPU VM), because its remainders
+# carry coefficients up to 2^30000; its time and memory grow about
+# quadratically in the degree.
 MAX_DEGREE = 30_000
 
 
@@ -261,6 +269,10 @@ class LaurentPolynomial:
         value = as_fraction(value)
         if value == 0:
             return LaurentPolynomial.zero(self.rank)
+        if value == 1:
+            return self
+        if value == -1:
+            return -self
         return self._raw(self.rank, {e: c * value for e, c in self._terms.items()})
 
     def shift(self, delta: Iterable[int]) -> "LaurentPolynomial":
@@ -276,6 +288,11 @@ class LaurentPolynomial:
     def sigma(self) -> "LaurentPolynomial":
         """Negate every exponent vector (the map X^g -> X^-g)."""
         return self._raw(self.rank, {tuple(-a for a in e): c for e, c in self._terms.items()})
+
+    def reversal(self, degree: int) -> "LaurentPolynomial":
+        """X^degree * self(1/X) for a rank-1 polynomial: X^e -> X^(degree - e)."""
+        self._require_rank1()
+        return self._raw(1, {(degree - e,): c for (e,), c in self._terms.items()})
 
     @classmethod
     def _raw(cls, rank: int, terms: dict[Exponent, Fraction]) -> "LaurentPolynomial":
@@ -359,8 +376,7 @@ def _format_monomial(exponent: Exponent, names: tuple[str, ...], vector_mode: bo
 
 # -- dense rank-1 helpers -------------------------------------------------
 #
-# Classical univariate polynomial division over Q, and the gcd that keeps
-# rank-1 rational functions in lowest terms.  Inputs must be true
+# Classical univariate polynomial division over Q.  Inputs must be true
 # polynomials (no negative exponents) of degree at most MAX_DEGREE.
 
 
@@ -373,8 +389,7 @@ def dense_coeffs(poly: LaurentPolynomial) -> list[Fraction]:
     if poly.is_zero():
         return []
     poly.require_polynomial()
-    if poly.degree() > MAX_DEGREE:
-        raise LimitExceeded(f"polynomial degree exceeds the limit {MAX_DEGREE}")
+    _require_degree(poly.degree())
     coeffs = [_ZERO] * (poly.degree() + 1)
     for exponent, coeff in poly.terms():
         coeffs[exponent[0]] = coeff
@@ -384,6 +399,11 @@ def dense_coeffs(poly: LaurentPolynomial) -> list[Fraction]:
 def from_dense(coeffs: Iterable[Scalar]) -> LaurentPolynomial:
     """Rank-1 polynomial from a coefficient list (index = degree)."""
     return LaurentPolynomial(1, {(i,): c for i, c in enumerate(coeffs) if c != 0})
+
+
+def _require_degree(degree: int) -> None:
+    if degree > MAX_DEGREE:
+        raise LimitExceeded(f"polynomial degree exceeds the limit {MAX_DEGREE}")
 
 
 def _dense_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
@@ -413,51 +433,107 @@ def poly_divmod(a: LaurentPolynomial, b: LaurentPolynomial) -> tuple[LaurentPoly
     return from_dense(q), from_dense(r)
 
 
-def poly_divexact(a: LaurentPolynomial, b: LaurentPolynomial) -> LaurentPolynomial:
-    q, r = poly_divmod(a, b)
-    if not r.is_zero():
-        raise ValueError("division is not exact")
-    return q
+# -- rank-1 integer polynomials --------------------------------------------
+#
+# A rank-1 polynomial over Z is a sparse map {degree: nonzero int}.  Rank-1
+# rational functions add, multiply and reduce on these maps, and the gcd
+# takes them; Fractions are built only by from_int_form.
+
+
+def int_form(poly: LaurentPolynomial) -> tuple[int, dict[int, int]]:
+    """(d, f) with poly = f / d for a rank-1 polynomial: d is the positive
+    lcm of the coefficient denominators and f maps each degree to an int."""
+    poly._require_rank1()
+    terms = poly._terms
+    d = math.lcm(*[c.denominator for c in terms.values()])
+    return d, {e: c.numerator * (d // c.denominator) for (e,), c in terms.items()}
+
+
+def from_int_form(f: Mapping[int, int], p: int = 1, q: int = 1) -> LaurentPolynomial:
+    """The rank-1 polynomial (p/q) * f, for an int map f with no zero values
+    and a nonzero p and positive q."""
+    if q == 1:
+        return LaurentPolynomial._raw(1, {(e,): Fraction(p * c) for e, c in f.items()})
+    return LaurentPolynomial._raw(1, {(e,): Fraction(p * c, q) for e, c in f.items()})
+
+
+def int_primitive(f: dict[int, int]) -> tuple[int, dict[int, int]]:
+    """(c, f / c) for a nonzero int map f, where c is the gcd of its values
+    signed like its leading coefficient."""
+    content = math.gcd(*f.values())
+    if f[max(f)] < 0:
+        content = -content
+    if content == 1:
+        return 1, f
+    return content, {e: c // content for e, c in f.items()}
+
+
+def int_product_sum(
+    products: Iterable[tuple[int, Mapping[int, int], Mapping[int, int]]]
+) -> dict[int, int]:
+    """The sum of k * f * g over the (k, f, g) given, as an int map."""
+    total: dict[int, int] = {}
+    for k, f, g in products:
+        for e1, c1 in f.items():
+            c1 *= k
+            for e2, c2 in g.items():
+                e = e1 + e2
+                total[e] = total.get(e, 0) + c1 * c2
+    return {e: c for e, c in total.items() if c}
 
 
 def poly_gcd(a: LaurentPolynomial, b: LaurentPolynomial) -> LaurentPolynomial:
     """Monic-normalized gcd of rank-1 polynomials over Q.
 
     The result has coprime integer coefficients and positive leading
-    coefficient; gcd(0, 0) = 0.  The heuristic gcd over Z answers first;
-    when it gives up, Euclid's algorithm over Q does.
+    coefficient; gcd(0, 0) = 0.  A degree above ``MAX_DEGREE`` raises
+    LimitExceeded.  This is ``int_gcd`` on the primitive integer forms.
     """
-    x, y = dense_coeffs(a), dense_coeffs(b)
-    if x and y:
-        h = _heuristic_gcd(_primitive_ints(x), _primitive_ints(y))
-        if h is not None:
-            return from_dense(h)
-    while y:
-        _, x = _dense_divmod(x, y)
-        x, y = y, x
-    g = from_dense(x)
-    return g.scale(1 / g.signed_content()) if g else g
+    f, g = _gcd_input(a), _gcd_input(b)
+    if f and g:
+        f = int_gcd(f, g)[0]
+    return from_int_form(f or g)
 
 
-def _primitive_ints(coeffs: list[Fraction]) -> list[int]:
-    """The coprime integer coefficients of a nonzero dense polynomial, up to sign."""
-    den = math.lcm(*[c.denominator for c in coeffs])
-    ints = [c.numerator * (den // c.denominator) for c in coeffs]
-    g = math.gcd(*ints)
-    return [v // g for v in ints]
+def _gcd_input(poly: LaurentPolynomial) -> dict[int, int]:
+    """The primitive int map of a rank-1 polynomial, checked as the gcd's input."""
+    _, f = int_form(poly)
+    if not f:
+        return f
+    poly.require_polynomial()
+    _require_degree(max(f))
+    return int_primitive(f)[1]
 
 
-def _heuristic_gcd(f: list[int], g: list[int]) -> list[int] | None:
-    """The primitive gcd of two nonzero dense integer polynomials, with a
-    positive leading coefficient, or None when the heuristic gives up.
+def int_gcd(
+    f: dict[int, int], g: dict[int, int]
+) -> tuple[dict[int, int], dict[int, int], dict[int, int]]:
+    """The gcd h of two nonzero primitive integer polynomials, with the
+    cofactors f/h and g/h.
+
+    f and g are int maps with nonnegative degrees; h is primitive with a
+    positive leading coefficient.  A degree above ``MAX_DEGREE`` raises
+    LimitExceeded.  The heuristic gcd over Z answers first; when it gives
+    up, Euclid's algorithm over Q does.
+    """
+    _require_degree(max(f))
+    _require_degree(max(g))
+    return _heuristic_gcd(f, g) or _euclid_gcd(f, g)
+
+
+def _heuristic_gcd(
+    f: dict[int, int], g: dict[int, int]
+) -> tuple[dict[int, int], dict[int, int], dict[int, int]] | None:
+    """``int_gcd``'s (h, f/h, g/h), or None when the heuristic gives up.
 
     GCDHEU (Char, Geddes & Gonnet, J. Symb. Comput. 1989): gamma =
     gcd(f(xi), g(xi)) read as balanced base-xi digits gives a candidate h.
     For xi >= 2*min(|f|, |g|) + 2 (max norms), the primitive part of h is
     the gcd exactly when it divides both f and g, which exact integer
-    division decides.  Otherwise xi grows, up to six times.
+    division decides; that division leaves the cofactors.  Otherwise xi
+    grows, up to six times.
     """
-    xi = 2 * min(max(map(abs, f)), max(map(abs, g))) + 29
+    xi = 2 * min(max(map(abs, f.values())), max(map(abs, g.values()))) + 29
     for _ in range(6):
         gamma = math.gcd(_evaluate(f, xi), _evaluate(g, xi))
         h = []
@@ -469,31 +545,60 @@ def _heuristic_gcd(f: list[int], g: list[int]) -> list[int] | None:
             gamma = (gamma - digit) // xi
         content = math.gcd(*h)  # gamma > 0, so the leading digit is positive
         h = [v // content for v in h]
-        if _divides(h, f) and _divides(h, g):
-            return h
+        f_h = _quotient(f, h)
+        if f_h is not None:
+            g_h = _quotient(g, h)
+            if g_h is not None:
+                return {i: v for i, v in enumerate(h) if v}, f_h, g_h
         xi = xi * 73794 // 27011
     return None
 
 
-def _evaluate(coeffs: list[int], point: int) -> int:
-    value = 0
-    for c in reversed(coeffs):
-        value = value * point + c
-    return value
+def _evaluate(f: Mapping[int, int], point: int) -> int:
+    """f(point) by Horner over the nonzero terms only: between two of them
+    the value is multiplied by point to the power of the degree gap."""
+    degrees = sorted(f, reverse=True)
+    value, previous = 0, degrees[0]
+    for e in degrees:
+        value = value * point ** (previous - e) + f[e]
+        previous = e
+    return value * point**previous
 
 
-def _divides(d: list[int], f: list[int]) -> bool:
-    """Whether d divides f in Z[x]; d has a positive leading coefficient."""
+def _quotient(f: dict[int, int], d: list[int]) -> dict[int, int] | None:
+    """f/d when the dense d (positive leading coefficient) divides the int
+    map f in Z[x], else None."""
     if len(d) == 1:
-        return True  # a primitive constant is 1
-    remainder = list(f)
-    lead, n = d[-1], len(d) - 1
-    for top in range(len(remainder) - 1, n - 1, -1):
-        q, r = divmod(remainder[top], lead)
+        return f  # a primitive constant is 1
+    n = len(d) - 1
+    top = max(f)
+    remainder = [0] * (top + 1)
+    for e, c in f.items():
+        remainder[e] = c
+    lead = d[-1]
+    quotient = {}
+    for k in range(top, n - 1, -1):
+        q, r = divmod(remainder[k], lead)
         if r:
-            return False
+            return None
         if q:
-            offset = top - n
+            offset = k - n
+            quotient[offset] = q
             for i in range(n):
                 remainder[offset + i] -= q * d[i]
-    return not any(remainder[:n])
+    return None if any(remainder[:n]) else quotient
+
+
+def _euclid_gcd(
+    f: dict[int, int], g: dict[int, int]
+) -> tuple[dict[int, int], dict[int, int], dict[int, int]]:
+    """``int_gcd``'s (h, f/h, g/h) by Euclid's algorithm over Q."""
+    x, y = dense_coeffs(from_int_form(f)), dense_coeffs(from_int_form(g))
+    a, b = x, y
+    while b:
+        a, b = b, _dense_divmod(a, b)[1]
+    _, h = int_primitive(int_form(from_dense(a))[1])
+    if h == {0: 1}:
+        return h, f, g
+    divisor = dense_coeffs(from_int_form(h))
+    return h, *[int_form(from_dense(_dense_divmod(z, divisor)[0]))[1] for z in (x, y)]

@@ -30,12 +30,13 @@ def solve_affine(
     pivots found so far, always on its smallest column, then the pivots are
     back-substituted with free variables set to zero, so the answer is
     deterministic; it equals Gauss-Jordan's, since the pivot columns do not
-    depend on elimination order.
+    depend on elimination order.  Entries may be ints or Fractions; each
+    pivot is made a Fraction before it divides, so every value of the
+    solution is an exact Fraction.
     """
     pivots: dict[int, tuple[dict[int, Fraction], Fraction]] = {}  # column -> (rest of row, rhs)
     for row, b in zip(rows, rhs):
-        entries = {c: Fraction(v) for c, v in row.items() if v}
-        b = Fraction(b)
+        entries = {c: v for c, v in row.items() if v}
         while entries and (c := min(entries)) in pivots:
             factor = entries.pop(c)
             rest, pivot_b = pivots[c]
@@ -45,7 +46,7 @@ def solve_affine(
                     del entries[k]
             b -= factor * pivot_b
         if entries:  # its leading column c is not yet a pivot
-            factor = entries.pop(c)
+            factor = Fraction(entries.pop(c))
             pivots[c] = ({k: v / factor for k, v in entries.items()}, b / factor)
         elif b:
             return None

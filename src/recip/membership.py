@@ -86,11 +86,12 @@ def decide_membership(r: RationalFunction, S: NumericalSemigroup) -> MembershipV
     # row per (polynomial, gap j), built from the terms c*X^e of poly:
     # sum_e c * h_(j - e) = -coeff(poly, j), over 1 <= j - e (e >= 0 here).
     rows: list[dict[int, Fraction]] = []
-    rhs: list[Fraction] = []
+    rhs: list[Fraction | int] = []
     for poly in (p, q):
+        coeffs = {e: c for (e,), c in poly.terms()}  # the terms, listed once
         for gap in sprime.gaps:
-            rows.append({gap - e - 1: c for (e,), c in poly.terms() if gap - e >= 1})
-            rhs.append(-poly.coeff((gap,)))
+            rows.append({gap - e - 1: c for e, c in coeffs.items() if e < gap})
+            rhs.append(-coeffs.get(gap, 0))
     solution = solve_affine(rows, rhs)
     if solution is None:
         return MembershipVerdict.not_member(LINEAR_SYSTEM_INFEASIBLE)

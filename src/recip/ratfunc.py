@@ -4,15 +4,26 @@ exponent-negation automorphism.
 Every fraction leaves ``RationalFunction`` with the common monomial taken
 out and the denominator scaled to coprime integer coefficients with a
 positive leading (lex-max) coefficient.  A rank-1 fraction is also reduced
-to lowest terms, so it has exactly one such form.  The gcd that does this
-runs in one place, the public constructor (and so in ``+`` and ``*``), and
-only when both sides still have two or more terms: a one-term side X^k has
-no common factor with a side that X does not divide.  Negation, ``inverse``,
-integer powers and ``sigma_map`` start from a reduced pair and call no gcd:
-the units of the Laurent ring are the monomials, and these maps keep a
-coprime pair coprime, so taking out the monomial and rescaling is enough.
-Higher ranks skip the gcd (multivariate gcd is out of scope); equality is
-decided by cross-multiplication, which is valid in every rank.
+to lowest terms, so it has exactly one such form.
+
+In rank 1 the constructor, ``+`` and ``*`` work over Z: each operand side
+becomes a sparse int map {degree: coefficient} with a common denominator
+(``laurent.int_form``), the maps are multiplied and added as ints, and all
+three end in one normaliser, ``_normal_form``.  It takes out the common
+X-power, runs the gcd ``laurent.int_gcd`` only when both sides still have
+two or more terms (a one-term side X^k has no common factor with a side
+that X does not divide), keeps the cofactors, makes the denominator
+primitive with a positive leading coefficient, and builds the Fraction
+coefficients once, at the end.
+
+Negation, ``inverse``, integer powers and ``sigma_map`` start from a reduced
+pair and call no gcd: the units of the Laurent ring are the monomials, and
+these maps keep a coprime pair coprime, so taking out the monomial and
+rescaling is enough.  A rank-1 ``sigma_map`` is less still: reversing the
+exponents by the larger degree leaves no common monomial and the
+denominator's coefficients, so only a sign can need fixing.  Higher ranks
+skip the gcd (multivariate gcd is out of scope); equality is decided by
+cross-multiplication, which is valid in every rank.
 """
 
 from __future__ import annotations
@@ -26,8 +37,11 @@ from .laurent import (
     Scalar,
     as_fraction,
     format_poly,
-    poly_divexact,
-    poly_gcd,
+    from_int_form,
+    int_form,
+    int_gcd,
+    int_primitive,
+    int_product_sum,
 )
 
 
@@ -54,20 +68,23 @@ class RationalFunction:
             raise ValueError("numerator and denominator rank mismatch")
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        num, den = _extract_common_monomial(num, den)
-        if num.rank == 1 and len(num) > 1 and len(den) > 1:
-            g = poly_gcd(num, den)
-            if not g.is_constant():
-                num = poly_divexact(num, g)
-                den = poly_divexact(den, g)
-        self.num, self.den = _primitive(num, den)
+        if num.rank == 1:
+            (n, f), (d, g) = int_form(num), int_form(den)
+            self.num, self.den = _normal_form(d, n, f, g)
+        else:
+            self.num, self.den = _primitive(*_extract_common_monomial(num, den))
+
+    @classmethod
+    def _normal(cls, num: LaurentPolynomial, den: LaurentPolynomial) -> "RationalFunction":
+        """num/den for a pair already in normal form."""
+        r = object.__new__(cls)
+        r.num, r.den = num, den
+        return r
 
     @classmethod
     def _coprime(cls, num: LaurentPolynomial, den: LaurentPolynomial) -> "RationalFunction":
         """num/den for a pair with no common factor but monomials: no gcd."""
-        r = object.__new__(cls)
-        r.num, r.den = _primitive(*_extract_common_monomial(num, den))
-        return r
+        return cls._normal(*_primitive(*_extract_common_monomial(num, den)))
 
     # -- constructors ---------------------------------------------------
 
@@ -113,6 +130,12 @@ class RationalFunction:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        if self.rank == 1:
+            p1, q1, a, b = _int_parts(self)
+            p2, q2, c, d = _int_parts(other)
+            num = int_product_sum([(p1 * q2, a, d), (p2 * q1, c, b)])
+            den = int_product_sum([(1, b, d)])
+            return RationalFunction._normal(*_normal_form(1, q1 * q2, num, den))
         return RationalFunction(
             self.num * other.den + other.num * self.den, self.den * other.den
         )
@@ -138,6 +161,12 @@ class RationalFunction:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        if self.rank == 1:
+            p1, q1, a, b = _int_parts(self)
+            p2, q2, c, d = _int_parts(other)
+            num = int_product_sum([(1, a, c)])
+            den = int_product_sum([(1, b, d)])
+            return RationalFunction._normal(*_normal_form(p1 * p2, q1 * q2, num, den))
         return RationalFunction(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
@@ -181,6 +210,37 @@ class RationalFunction:
 
     def __repr__(self) -> str:
         return f"RationalFunction({str(self)!r})"
+
+
+def _int_parts(r: RationalFunction) -> tuple[int, int, dict[int, int], dict[int, int]]:
+    """(p, q, f, g) with r = p*f / (q*g), for int maps f and g."""
+    (n, f), (d, g) = int_form(r.num), int_form(r.den)
+    return d, n, f, g
+
+
+def _normal_form(
+    p: int, q: int, f: dict[int, int], g: dict[int, int]
+) -> tuple[LaurentPolynomial, LaurentPolynomial]:
+    """The normal-form (num, den) of p*f / (q*g), for nonzero ints p, q and
+    int maps f and g != 0 of rank-1 polynomials.
+
+    The common X-power comes out, both sides become primitive with positive
+    leading coefficients, the gcd of two sides with two or more terms each
+    is divided out, and the signs and contents move into num's scale p/q,
+    which is applied last.
+    """
+    if not f:
+        return LaurentPolynomial.zero(1), LaurentPolynomial.one(1)
+    low = min(min(f), min(g))
+    if low:
+        f = {e - low: c for e, c in f.items()}
+        g = {e - low: c for e, c in g.items()}
+    f_content, f = int_primitive(f)
+    g_content, g = int_primitive(g)
+    if len(f) > 1 and len(g) > 1:
+        _, f, g = int_gcd(f, g)
+    scale = Fraction(p * f_content, q * g_content)
+    return from_int_form(f, scale.numerator, scale.denominator), from_int_form(g)
 
 
 def _extract_common_monomial(
@@ -267,8 +327,21 @@ def normalize_reciprocal_sum(
 
 
 def sigma_map(r: RationalFunction) -> RationalFunction:
-    """The field automorphism sending X^g to X^-g, applied term by term."""
-    return RationalFunction._coprime(r.num.sigma(), r.den.sigma())
+    """The field automorphism sending X^g to X^-g, applied term by term.
+
+    In rank 1, num and den are polynomials not both divisible by X, so
+    X^m num(1/X) / X^m den(1/X), m the larger degree, is again such a
+    coprime pair, and its denominator has the same coefficients; its new
+    leading coefficient is the old lowest one, and a sign fixes that.
+    """
+    if r.rank > 1:
+        return RationalFunction._coprime(r.num.sigma(), r.den.sigma())
+    if r.is_zero():
+        return r
+    num, den = r.num, r.den
+    m = max(num.degree(), den.degree())
+    sign = 1 if den.coeff(den.lex_min_exponent()) > 0 else -1
+    return RationalFunction._normal(num.reversal(m).scale(sign), den.reversal(m).scale(sign))
 
 
 def sigma_of_reciprocal(f: LaurentPolynomial) -> RationalFunction:

@@ -105,6 +105,19 @@ def test_semigroup_file_rejects_malformed_json(tmp_path):
             assert err.startswith("error: ") and err.count("\n") == 1, (command, text)
 
 
+def test_sparse_reciprocal_sum_stays_sparse():
+    # 1/X^k + 1 = (X^k + 1)/X^k: a one-term denominator, so no gcd and no
+    # dense list; sigma maps it to the polynomial X^k + 1.
+    for command, expected in (
+        ("member", '{"status":"NotMember","obstruction":"PoleAtOrigin"}\n'),
+        ("recip-member", '{"status":"Member","certificate":"1"}\n'),
+    ):
+        start = time.perf_counter()
+        code, out, _ = run_cli(command, "--gens", "4,7,9", "--expr", "1/X^1000000000 + 1")
+        assert time.perf_counter() - start < 1.0, command
+        assert (code, out) == (0, expected), command
+
+
 def test_conductor_limit_exits_two_quickly():
     start = time.perf_counter()
     code, out, err = run_cli("semigroup", "--gens", "1000003,1000033")

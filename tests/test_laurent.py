@@ -15,6 +15,9 @@ from recip.laurent import (
     dense_coeffs,
     format_poly,
     from_dense,
+    from_int_form,
+    int_form,
+    int_gcd,
     poly_divmod,
     poly_gcd,
 )
@@ -278,11 +281,11 @@ def test_poly_gcd_fallback_gives_the_same_result(monkeypatch):
     fast = [poly_gcd(a, b) for a, b in pairs]
     checks = []
 
-    def never_divides(d, f):
+    def never_divides(f, d):
         checks.append(len(d))
-        return False
+        return None
 
-    monkeypatch.setattr(laurent, "_divides", never_divides)
+    monkeypatch.setattr(laurent, "_quotient", never_divides)
     for (a, b), expected in zip(pairs, fast):
         before = len(checks)
         assert poly_gcd(a, b) == expected
@@ -308,6 +311,66 @@ def test_poly_gcd_of_degree_1000_polynomials_is_fast():
     d = poly_gcd(left, right)
     assert time.perf_counter() - start < 1.0
     assert d == from_dense(common)
+
+
+def _dense_horner(coeffs: list[int], point: int) -> int:
+    value = 0
+    for c in reversed(coeffs):
+        value = value * point + c
+    return value
+
+
+def test_sparse_evaluation_matches_dense_horner():
+    rng = random.Random(26)
+    for _ in range(300):
+        degree = rng.choice((0, 1, 5, 40, 300))
+        f = {e: rng.choice((-7, -1, 1, 2, 9)) * rng.randint(1, 10**rng.randint(1, 12))
+             for e in rng.sample(range(degree + 1), rng.randint(1, min(degree + 1, 6)))}
+        dense = [f.get(i, 0) for i in range(max(f) + 1)]
+        point = rng.choice((29, 31, 2 * 10**9 + 29, rng.randint(29, 10**30)))
+        assert laurent._evaluate(f, point) == _dense_horner(dense, point), (f, point)
+
+
+def test_sparse_high_degree_gcd_is_fast():
+    # Dense Horner paid a big-integer multiply for each of the 29,999 zero
+    # coefficients of X^30000 + 1: 0.26 s a call.
+    a, b = parse_poly("X^30000 + 1"), parse_poly("X + 2")
+    start = time.perf_counter()
+    for _ in range(50):
+        d = poly_gcd(a, b)
+    assert time.perf_counter() - start < 1.0
+    assert d == 1
+
+
+def test_int_gcd_returns_the_cofactors_on_both_paths(monkeypatch):
+    pairs = [(a, b) for a, b in planted_pairs(27, 80) if not a.is_zero()]
+    primitive = laurent._gcd_input
+    fast = [int_gcd(primitive(a), primitive(b)) for a, b in pairs]
+    monkeypatch.setattr(laurent, "_quotient", lambda f, d: None)
+    for (a, b), (h, f_h, g_h) in zip(pairs, fast):
+        f, g = primitive(a), primitive(b)
+        assert laurent._euclid_gcd(f, g) == (h, f_h, g_h) == int_gcd(f, g)
+        assert from_int_form(h) == poly_gcd(a, b)
+        assert from_int_form(h) * from_int_form(f_h) == from_int_form(f)
+        assert from_int_form(h) * from_int_form(g_h) == from_int_form(g)
+
+
+def test_int_form_round_trip():
+    p = parse_poly("1/2*X^-3 - 2/3 + 5*X^4")
+    d, f = int_form(p)
+    assert (d, f) == (6, {-3: 3, 0: -4, 4: 30})
+    assert from_int_form(f, 1, d) == p
+    assert from_int_form(f, -2, 3) == p.scale(-4)
+    assert int_form(LaurentPolynomial.zero(1)) == (1, {})
+
+
+def test_scale_by_a_unit_and_reversal():
+    p = parse_poly("1/2*X^-3 - 2/3 + 5*X^4")
+    assert p.scale(1) is p
+    assert p.scale(-1) == -p == p.scale(Fraction(-1))
+    assert p.reversal(4) == parse_poly("1/2*X^7 - 2/3*X^4 + 5")
+    with pytest.raises(ValueError):
+        LaurentPolynomial(2, {(1, 1): 1}).reversal(1)
 
 
 def test_format_rank1():

@@ -74,6 +74,17 @@ def test_solve_affine_sparse_rows_and_empty_system():
     assert solve_affine([], []) == {}
 
 
+def test_solve_affine_on_ints_gives_exact_fractions():
+    # Only pivots become Fractions, and they divide everything else, so
+    # int-only input never yields an int quotient or a float.
+    rows = [{0: 2, 1: 1}, {0: 1, 1: 3, 2: 1}, {2: 3}]
+    solution = solve_affine(rows, [1, 2, 2])
+    assert solution == {0: F(1, 3), 1: F(1, 3), 2: F(2, 3)}
+    assert all(type(v) is F for v in solution.values())
+    assert all(type(v) is F for v in solve_affine([{0: 4}, {1: 1}], [2, 3]).values())
+    assert rows == [{0: 2, 1: 1}, {0: 1, 1: 3, 2: 1}, {2: 3}]  # the input is left as it was
+
+
 def test_solve_affine_random_consistent_systems():
     rng = random.Random(5)
     for _ in range(50):

@@ -556,7 +556,7 @@ def test_witness_search_takes_no_gcd(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the witness search must not normalize")
 
-    gcd_paths = (laurent.poly_gcd, ratfunc.normalize_reciprocal_sum)
+    gcd_paths = (laurent.int_gcd, ratfunc.normalize_reciprocal_sum)
     modules = [m for name, m in sys.modules.items() if name == "recip" or name.startswith("recip.")]
     for module in modules:
         for name, value in list(vars(module).items()):

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from recip import ratfunc
-from recip.laurent import LaurentPolynomial
+from recip.laurent import LaurentPolynomial, _dense_divmod, dense_coeffs, from_dense, poly_divmod
 from recip.parse import parse_poly, parse_ratfunc
 from recip.ratfunc import (
     RationalFunction,
@@ -257,10 +257,10 @@ def test_gcd_free_paths_never_call_the_gcd(monkeypatch):
     rng = random.Random(59)
     inputs = [random_ratfunc(rng, 1) for _ in range(60)]
 
-    def forbidden(a, b):
-        raise AssertionError("poly_gcd called")
+    def forbidden(f, g):
+        raise AssertionError("int_gcd called")
 
-    monkeypatch.setattr(ratfunc, "poly_gcd", forbidden)
+    monkeypatch.setattr(ratfunc, "int_gcd", forbidden)
     for r in inputs:
         list(_unary_images(r))
 
@@ -269,8 +269,8 @@ def test_one_term_sides_never_call_the_gcd(monkeypatch):
     def forbidden(*args):
         raise AssertionError("dense gcd path reached")
 
-    monkeypatch.setattr(ratfunc, "poly_gcd", forbidden)
-    monkeypatch.setattr(ratfunc, "poly_divexact", forbidden)
+    # int_gcd is the only way from ratfunc to a dense coefficient list.
+    monkeypatch.setattr(ratfunc, "int_gcd", forbidden)
     rng = random.Random(67)
     huge = LaurentPolynomial.monomial(1, (10**8,))
     for _ in range(60):
@@ -285,6 +285,150 @@ def test_one_term_sides_never_call_the_gcd(monkeypatch):
     r = RationalFunction(parse_poly("X^3 + X^5"), parse_poly("2*X^2"))
     assert (r.num, r.den) == (parse_poly("X + X^3").scale(Fraction(1, 2)), parse_poly("1"))
     assert sigma_map(RationalFunction(huge)) == RationalFunction(1, huge)
+
+
+# -- the integer path against the Fraction normalisation -----------------------
+#
+# A copy of the rank-1 normalisation as it ran on Fractions before the
+# integer path: take out the common monomial, divide out Euclid's gcd over Q
+# by long division, then scale the denominator to coprime integers with a
+# positive leading coefficient.
+
+
+def _fraction_gcd(a, b):
+    x, y = dense_coeffs(a), dense_coeffs(b)
+    while y:
+        _, x = _dense_divmod(x, y)
+        x, y = y, x
+    g = from_dense(x)
+    return g.scale(1 / g.signed_content())
+
+
+def _fraction_divexact(a, b):
+    q, r = poly_divmod(a, b)
+    assert r.is_zero()
+    return q
+
+
+def fraction_normal_form(num, den):
+    """The normal-form (num, den) of num/den, all on Fractions: the oracle."""
+    if num.is_zero():
+        return num, LaurentPolynomial.one(1)
+    common = (-min(e for (e,) in num.support() + den.support()),)
+    num, den = num.shift(common), den.shift(common)
+    if len(num) > 1 and len(den) > 1:
+        g = _fraction_gcd(num, den)
+        if not g.is_constant():
+            num, den = _fraction_divexact(num, g), _fraction_divexact(den, g)
+    content = den.content()
+    if den.coeff(den.lex_max_exponent()) < 0:
+        content = -content
+    return num.scale(1 / content), den.scale(1 / content)
+
+
+HALVES = (Fraction(1, 2), Fraction(-1, 2))
+
+
+def _differential_poly(rng, max_degree):
+    """A seeded rank-1 polynomial: zero, a constant, a monomial or up to six
+    terms; exponents from -6 up to max_degree; coefficients small integers,
+    +-1/2 or non-primitive multiples."""
+    kind = rng.random()
+    if kind < 0.05:
+        return LaurentPolynomial.zero(1)
+    if kind < 0.15:
+        return LaurentPolynomial.constant(1, rng.choice(COEFFS))
+    terms = 1 if kind < 0.3 else rng.randint(2, 6)
+    scale = rng.choice((1, 1, 1, 2, -3, 6, Fraction(1, 2), Fraction(-1, 2)))
+    return LaurentPolynomial(1, {
+        (rng.randint(-6, max_degree),): scale * rng.choice(COEFFS + list(HALVES))
+        for _ in range(terms)
+    })
+
+
+def _differential_pairs(seed, count):
+    """Seeded (num, den) pairs, den != 0; every third pair shares a planted
+    common factor, and degrees reach about 60."""
+    rng = random.Random(seed)
+    for k in range(count):
+        max_degree = rng.choice((3, 8, 20, 48))
+        num, den = _differential_poly(rng, max_degree), _differential_poly(rng, max_degree)
+        if den.is_zero():
+            den = LaurentPolynomial.monomial(1, (rng.randint(-3, 3),), rng.choice(HALVES))
+        if k % 3 == 0:
+            factor = _differential_poly(rng, 12)
+            if not factor.is_zero():
+                num, den = num * factor, den * factor
+        yield num, den
+
+
+def test_integer_path_matches_the_fraction_normalisation():
+    cases = list(_differential_pairs(71, 240))
+    kinds = {"zero": 0, "constant": 0, "one-term": 0, "negative-lead": 0, "reduced": 0}
+    for num, den in cases:
+        r = RationalFunction(num, den)
+        assert (r.num, r.den) == fraction_normal_form(num, den), (num, den)
+        kinds["zero"] += num.is_zero()
+        kinds["constant"] += num.is_constant() or den.is_constant()
+        kinds["one-term"] += len(num) == 1 or len(den) == 1
+        kinds["negative-lead"] += den.coeff(den.lex_max_exponent()) < 0
+        kinds["reduced"] += len(r.den) < len(den)
+    assert all(n >= 5 for n in kinds.values()), kinds
+    assert max(max(abs(e) for (e,) in p.support()) for pair in cases for p in pair if p) >= 55
+    values = [RationalFunction(num, den) for num, den in cases[:60]]
+    for a, b in zip(values, values[1:] + values[:1]):
+        assert ((a + b).num, (a + b).den) == fraction_normal_form(
+            a.num * b.den + b.num * a.den, a.den * b.den
+        ), (a, b)
+        assert ((a * b).num, (a * b).den) == fraction_normal_form(a.num * b.num, a.den * b.den), (a, b)
+
+
+def _sympy_pair(num, den):
+    """num/den as two sympy Polys over QQ, shifted to nonnegative degrees."""
+    import sympy
+
+    shift = -min(e for (e,) in num.support() + den.support())
+    x = sympy.Symbol("x")
+    return tuple(
+        sympy.Poly.from_dict(
+            {(e + shift,): sympy.Rational(c.numerator, c.denominator) for (e,), c in poly.terms()}
+            or {(0,): 0},
+            x,
+            domain=sympy.QQ,
+        )
+        for poly in (num, den)
+    )
+
+
+def test_integer_path_against_sympy():
+    pytest.importorskip("sympy")
+    cases = list(_differential_pairs(73, 120))
+    values = [RationalFunction(num, den) for num, den in cases]
+    for (num, den), r, s in zip(cases, values, values[1:] + values[:1]):
+        unreduced = [
+            (r, (num, den)),
+            (r + s, (r.num * s.den + s.num * r.den, r.den * s.den)),
+            (r * s, (r.num * s.num, r.den * s.den)),
+        ]
+        for value, pair in unreduced:
+            unreduced_num, unreduced_den = _sympy_pair(*pair)
+            # sympy's cancel: unreduced = scale * cancelled_num / cancelled_den
+            scale, cancelled_num, cancelled_den = unreduced_num.cancel(unreduced_den)
+            p, q = _sympy_pair(value.num, value.den)
+            assert p * cancelled_den == q * cancelled_num * scale, (num, den)
+            assert p.gcd(q).degree() <= 0, (num, den)
+            assert value.den.content() == 1 and value.den.coeff(value.den.lex_max_exponent()) > 0
+
+
+def test_rank1_sigma_map_matches_the_coprime_path():
+    # The reversal by the larger degree against the rank-generic path:
+    # negate the exponents, take out the common monomial, rescale.
+    for num, den in _differential_pairs(79, 200):
+        r = RationalFunction(num, den)
+        expected = RationalFunction._coprime(r.num.sigma(), r.den.sigma())
+        value = sigma_map(r)
+        assert (value.num, value.den) == (expected.num, expected.den), r
+        assert sigma_map(value) == r
 
 
 # -- sigma_of_reciprocal ------------------------------------------------------
