@@ -14,7 +14,8 @@ reproducible.
 Rank-1 arithmetic that must stay in lowest terms runs over Z.  A rank-1
 polynomial over Z is a sparse map {degree: int}; ``int_form`` turns a
 polynomial into one (with a common denominator), ``int_product_sum``
-multiplies and adds them, and ``from_int_form`` builds the Fractions back.
+multiplies and adds them, ``int_power`` raises one to a power, and
+``from_int_form`` builds the Fractions back.
 Their gcd, ``int_gcd``, is the heuristic gcd of Char, Geddes and Gonnet
 (one integer gcd of two values, read back in base xi and checked by exact
 division, which also gives the cofactors); it answers almost every call,
@@ -289,11 +290,6 @@ class LaurentPolynomial:
         """Negate every exponent vector (the map X^g -> X^-g)."""
         return self._raw(self.rank, {tuple(-a for a in e): c for e, c in self._terms.items()})
 
-    def reversal(self, degree: int) -> "LaurentPolynomial":
-        """X^degree * self(1/X) for a rank-1 polynomial: X^e -> X^(degree - e)."""
-        self._require_rank1()
-        return self._raw(1, {(degree - e,): c for (e,), c in self._terms.items()})
-
     @classmethod
     def _raw(cls, rank: int, terms: dict[Exponent, Fraction]) -> "LaurentPolynomial":
         # Internal fast path: terms are already canonical (no zeros, right rank).
@@ -436,8 +432,8 @@ def poly_divmod(a: LaurentPolynomial, b: LaurentPolynomial) -> tuple[LaurentPoly
 # -- rank-1 integer polynomials --------------------------------------------
 #
 # A rank-1 polynomial over Z is a sparse map {degree: nonzero int}.  Rank-1
-# rational functions add, multiply and reduce on these maps, and the gcd
-# takes them; Fractions are built only by from_int_form.
+# rational functions are held, added, multiplied and reduced as these maps,
+# and the gcd takes them; Fractions are built only by from_int_form.
 
 
 def int_form(poly: LaurentPolynomial) -> tuple[int, dict[int, int]]:
@@ -480,6 +476,18 @@ def int_product_sum(
                 e = e1 + e2
                 total[e] = total.get(e, 0) + c1 * c2
     return {e: c for e, c in total.items() if c}
+
+
+def int_power(f: Mapping[int, int], k: int) -> dict[int, int]:
+    """f**k for an int map f and an int k >= 0, by repeated squaring."""
+    result = {0: 1}
+    while k:
+        if k & 1:
+            result = int_product_sum([(1, result, f)])
+        k >>= 1
+        if k:
+            f = int_product_sum([(1, f, f)])
+    return result
 
 
 def poly_gcd(a: LaurentPolynomial, b: LaurentPolynomial) -> LaurentPolynomial:

@@ -70,11 +70,16 @@ def decide_membership(r: RationalFunction, S: NumericalSemigroup) -> MembershipV
     Returns Member with a multiplier certificate h (constant term 1) such
     that p*h and q*h have supports in S', or NotMember naming the failed
     check: a pole at the origin, or an infeasible gap-coefficient system.
+
+    The gap rows come from r's integer form p*f / (q*g), as ints: the
+    constant p/q scales every row of num(r) and its right-hand side alike,
+    so the rows of f have the same solution, and neither num(r) nor den(r)
+    is built.
     """
     if r.rank != 1:
         raise ValueError("membership decision requires rank 1")
-    p, q = r.num, r.den  # already reduced and monomial-normalized
-    if q.constant_term() == 0:
+    _, _, f, g = r._ints  # reduced, with nonnegative degrees
+    if 0 not in g:
         return MembershipVerdict.not_member(POLE_AT_ORIGIN)
 
     sprime = derive_sprime(S)
@@ -85,17 +90,17 @@ def decide_membership(r: RationalFunction, S: NumericalSemigroup) -> MembershipV
     # Unknowns h_1 .. h_bound in columns 0 .. bound - 1; h_0 = 1.  One sparse
     # row per (polynomial, gap j), built from the terms c*X^e of poly:
     # sum_e c * h_(j - e) = -coeff(poly, j), over 1 <= j - e (e >= 0 here).
-    rows: list[dict[int, Fraction]] = []
-    rhs: list[Fraction | int] = []
-    for poly in (p, q):
-        coeffs = {e: c for (e,), c in poly.terms()}  # the terms, listed once
+    rows: list[dict[int, int]] = []
+    rhs: list[int] = []
+    for poly in (f, g):
         for gap in sprime.gaps:
-            rows.append({gap - e - 1: c for e, c in coeffs.items() if e < gap})
-            rhs.append(-coeffs.get(gap, 0))
+            rows.append({gap - e - 1: c for e, c in poly.items() if e < gap})
+            rhs.append(-poly.get(gap, 0))
     solution = solve_affine(rows, rhs)
     if solution is None:
         return MembershipVerdict.not_member(LINEAR_SYSTEM_INFEASIBLE)
-    h = LaurentPolynomial(1, {(0,): Fraction(1), **{(k + 1,): c for k, c in solution.items()}})
+    # solve_affine's values are nonzero Fractions, so h needs no validation.
+    h = LaurentPolynomial._raw(1, {(0,): Fraction(1), **{(k + 1,): c for k, c in solution.items()}})
     return MembershipVerdict.member(h)
 
 

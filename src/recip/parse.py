@@ -17,9 +17,10 @@ monomials use the vector form ``X^(1,-2)``; with one name per coordinate
 
 Parse errors carry the offending position and what was expected.
 Parentheses nest at most ``MAX_NESTING`` deep; a deeper '(' is a parse
-error at its position rather than a ``RecursionError``.  A power, product
-or quotient whose estimated size exceeds ``MAX_POWER_SIZE`` raises
-``LimitExceeded`` before it is computed.
+error at its position rather than a ``RecursionError``.  A power, product,
+quotient, sum or difference whose estimated size exceeds ``MAX_POWER_SIZE``
+raises ``LimitExceeded`` before it is computed; p/q +- r/s is estimated as
+(p*s +- r*q) / (q*s).
 """
 
 from __future__ import annotations
@@ -38,7 +39,8 @@ MAX_NESTING = 100  # parenthesis depth; each level costs five Python frames
 # Estimated size of a power's result: its terms times (the widest
 # coefficient's bits plus the term count), so that both the bits and the
 # term-by-term products that build them count.  At the limit 91^149796,
-# (X+1)^723 and (1+X+X^2)^361 take 0.1 to 1.5 s on a 2-vCPU VM;
+# (X+1)^723 and (1+X+X^2)^361 take about 0.05 s on a 2-vCPU VM, and
+# 1/(X+1)^323 + 1/(X-1)^323, whose gcd has degree-646 inputs, about 0.4 s;
 # 91^5497340 and (X+1)^3000 took 24 s and 29 s unchecked.
 MAX_POWER_SIZE = 1 << 20
 
@@ -71,7 +73,8 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-Shape = tuple[int, int, tuple[int, ...]]  # term count, coefficient width, support spans
+Box = tuple[tuple[int, int], ...]  # (lowest, highest) exponent per coordinate
+Shape = tuple[int, int, Box]  # term count, coefficient width, support box
 
 
 class _Factor(NamedTuple):
@@ -141,9 +144,14 @@ class _Parser:
     def expr(self) -> _Factor:
         left = self.product()
         while (op := self.at_op("+", "-")) is not None:
-            self.advance()
-            value, rhs = left.value(), self.product().value()
-            left = _Factor(value + rhs if op == "+" else value - rhs)
+            _, _, pos = self.advance()
+            rhs = self.product()
+            (p, q), (r, s) = left.shapes(), rhs.shapes()
+            num = _sum_shape(_product_shape(p, s), _product_shape(r, q))
+            if _size(num) + _size(_product_shape(q, s)) > MAX_POWER_SIZE:
+                raise LimitExceeded(f"sum at position {pos} exceeds the size limit {MAX_POWER_SIZE}")
+            value, rhs_value = left.value(), rhs.value()
+            left = _Factor(value + rhs_value if op == "+" else value - rhs_value)
         return left
 
     def product(self) -> _Factor:
@@ -255,42 +263,59 @@ class _Parser:
         return sign * int(token)
 
 
-def _height_shape(poly: LaurentPolynomial) -> tuple[int, int, tuple[int, ...]]:
+def _height_shape(poly: LaurentPolynomial) -> tuple[int, int, Box]:
     """The term count, the height (widest numerator times widest
-    denominator) and the support's span in each coordinate."""
-    coeffs = [c for _, c in poly.terms()]
-    if not coeffs:
+    denominator) and the support's box."""
+    if poly.is_zero():
         return 0, 0, ()
+    exponents, coeffs = zip(*list(poly.terms()))
     height = max(abs(c.numerator) for c in coeffs) * max(c.denominator for c in coeffs)
-    return len(coeffs), height, tuple(max(column) - min(column) for column in zip(*poly.support()))
+    return len(coeffs), height, tuple((min(column), max(column)) for column in zip(*exponents))
+
+
+def _box_terms(box: Box) -> int:
+    """The number of exponents in a box."""
+    return math.prod(high - low + 1 for low, high in box)
 
 
 def _shape(poly: LaurentPolynomial) -> Shape:
     """The shape of poly itself; its width is the bits of height - 1, so 0
     for unit coefficients."""
-    t, height, spans = _height_shape(poly)
-    return t, (height - 1).bit_length() if t else 0, spans
+    t, height, box = _height_shape(poly)
+    return t, (height - 1).bit_length() if t else 0, box
 
 
 def _power_shape(poly: LaurentPolynomial, k: int) -> Shape:
     """Upper estimates for the shape of poly^k: the term count is a
-    multinomial count or the box that k times the support spans, and each
+    multinomial count or the size of k times the support's box, and each
     coefficient has at most k times the bits of (term count) * height."""
-    t, height, spans = _height_shape(poly)
+    t, height, box = _height_shape(poly)
     if not t:
         return 0, 0, ()
     k = min(k, MAX_POWER_SIZE + 1)  # the size grows with k and exceeds the limit past it
-    terms = min(math.comb(k + t - 1, t - 1), math.prod(k * s + 1 for s in spans))
-    return terms, k * (t * height - 1).bit_length(), tuple(k * s for s in spans)
+    box = tuple((k * low, k * high) for low, high in box)
+    return min(math.comb(k + t - 1, t - 1), _box_terms(box)), k * (t * height - 1).bit_length(), box
 
 
 def _product_shape(a: Shape, b: Shape) -> Shape:
     """Upper estimates for the shape of a product: every pair of terms or
-    the box of the summed spans, and coefficients that sum at most min(ta, tb)
+    the sum of the boxes, and coefficients that sum at most min(ta, tb)
     products of the two widths."""
-    (ta, wa, sa), (tb, wb, sb) = a, b
-    spans = tuple(x + y for x, y in zip(sa, sb))
-    return min(ta * tb, math.prod(s + 1 for s in spans)), wa + wb + (min(ta, tb) - 1).bit_length(), spans
+    (ta, wa, ba), (tb, wb, bb) = a, b
+    box = tuple((la + lb, ha + hb) for (la, ha), (lb, hb) in zip(ba, bb))
+    return min(ta * tb, _box_terms(box)), wa + wb + (min(ta, tb) - 1).bit_length(), box
+
+
+def _sum_shape(a: Shape, b: Shape) -> Shape:
+    """Upper estimates for the shape of a sum: the terms of both or the
+    box around both boxes, and one bit more than the wider coefficients."""
+    (ta, wa, ba), (tb, wb, bb) = a, b
+    if not ta:
+        return b
+    if not tb:
+        return a
+    box = tuple((min(la, lb), max(ha, hb)) for (la, ha), (lb, hb) in zip(ba, bb))
+    return min(ta + tb, _box_terms(box)), max(wa, wb) + 1, box
 
 
 def _size(shape: Shape) -> int:

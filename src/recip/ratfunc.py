@@ -6,28 +6,34 @@ out and the denominator scaled to coprime integer coefficients with a
 positive leading (lex-max) coefficient.  A rank-1 fraction is also reduced
 to lowest terms, so it has exactly one such form.
 
-In rank 1 the constructor, ``+`` and ``*`` work over Z: each operand side
-becomes a sparse int map {degree: coefficient} with a common denominator
-(``laurent.int_form``), the maps are multiplied and added as ints, and all
-three end in one normaliser, ``_normal_form``.  It takes out the common
-X-power, runs the gcd ``laurent.int_gcd`` only when both sides still have
-two or more terms (a one-term side X^k has no common factor with a side
-that X does not divide), keeps the cofactors, makes the denominator
-primitive with a positive leading coefficient, and builds the Fraction
-coefficients once, at the end.
+A rank-1 fraction is held as that one form over Z, the tuple (p, q, f, g)
+with value p*f / (q*g): q > 0 and gcd(p, q) = 1, f and g are primitive
+sparse int maps {degree: coefficient} with positive leading coefficients,
+and min(min f, min g) = 0; zero is (0, 1, {}, {0: 1}).  The constructor,
+``+`` and ``*`` end in one normaliser, ``_normal_form``: it takes out the
+common X-power, makes both sides primitive, and runs the gcd
+``laurent.int_gcd`` only when both sides still have two or more terms (a
+one-term side X^k has no common factor with a side that X does not
+divide).  Negation, ``inverse``, integer powers (``laurent.int_power``)
+and ``sigma_map`` rewrite the tuple directly.  The Fraction polynomials
+``num`` = (p/q)*f and ``den`` = g are built from it only when they are
+first read, and then kept; equality, ``is_zero`` and ``constant_value``
+read the tuple.
 
 Negation, ``inverse``, integer powers and ``sigma_map`` start from a reduced
 pair and call no gcd: the units of the Laurent ring are the monomials, and
 these maps keep a coprime pair coprime, so taking out the monomial and
 rescaling is enough.  A rank-1 ``sigma_map`` is less still: reversing the
 exponents by the larger degree leaves no common monomial and the
-denominator's coefficients, so only a sign can need fixing.  Higher ranks
-skip the gcd (multivariate gcd is out of scope); equality is decided by
-cross-multiplication, which is valid in every rank.
+coefficients, so only the signs of the new leading coefficients move into p.
+Higher ranks hold the pair (num, den) itself, and their constructor takes
+out the monomial and rescales but runs no gcd (multivariate gcd is out of
+scope); their equality is decided by cross-multiplication.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -40,15 +46,22 @@ from .laurent import (
     from_int_form,
     int_form,
     int_gcd,
+    int_power,
     int_primitive,
     int_product_sum,
 )
+
+IntForm = tuple[int, int, dict[int, int], dict[int, int]]
+
+_ZERO_FORM: IntForm = (0, 1, {}, {0: 1})
 
 
 class RationalFunction:
     """A quotient num/den of Laurent polynomials with den != 0."""
 
-    __slots__ = ("num", "den")
+    # Rank 1 holds _ints and builds _num and _den on first read; a higher
+    # rank holds _num and _den, and _ints is None.
+    __slots__ = ("_ints", "_num", "_den")
 
     def __init__(
         self,
@@ -70,21 +83,17 @@ class RationalFunction:
             raise ZeroDivisionError("zero denominator")
         if num.rank == 1:
             (n, f), (d, g) = int_form(num), int_form(den)
-            self.num, self.den = _normal_form(d, n, f, g)
+            self._ints, self._num, self._den = _normal_form(d, n, f, g), None, None
         else:
-            self.num, self.den = _primitive(*_extract_common_monomial(num, den))
+            self._ints = None
+            self._num, self._den = _primitive(*_extract_common_monomial(num, den))
 
     @classmethod
-    def _normal(cls, num: LaurentPolynomial, den: LaurentPolynomial) -> "RationalFunction":
-        """num/den for a pair already in normal form."""
+    def _from_ints(cls, ints: IntForm) -> "RationalFunction":
+        """The rank-1 fraction with the integer form ints."""
         r = object.__new__(cls)
-        r.num, r.den = num, den
+        r._ints, r._num, r._den = ints, None, None
         return r
-
-    @classmethod
-    def _coprime(cls, num: LaurentPolynomial, den: LaurentPolynomial) -> "RationalFunction":
-        """num/den for a pair with no common factor but monomials: no gcd."""
-        return cls._normal(*_primitive(*_extract_common_monomial(num, den)))
 
     # -- constructors ---------------------------------------------------
 
@@ -103,15 +112,37 @@ class RationalFunction:
     # -- inspection -------------------------------------------------------
 
     @property
+    def num(self) -> LaurentPolynomial:
+        """The numerator; in rank 1, (p/q)*f, built when first read."""
+        if self._num is None:
+            p, q, f, _ = self._ints
+            self._num = from_int_form(f, p, q)
+        return self._num
+
+    @property
+    def den(self) -> LaurentPolynomial:
+        """The denominator; in rank 1, g, built when first read."""
+        if self._den is None:
+            self._den = from_int_form(self._ints[3])
+        return self._den
+
+    @property
     def rank(self) -> int:
-        return self.num.rank
+        return 1 if self._ints is not None else self._num.rank
 
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        if self._ints is not None:
+            return not self._ints[0]
+        return self._num.is_zero()
 
     def constant_value(self) -> Fraction | None:
         """The value as a Fraction if the function is a constant, else None."""
-        return self.num.ratio(self.den)
+        if self._ints is None:
+            return self._num.ratio(self._den)
+        # f and g are primitive with positive leading coefficients, so
+        # p*f/(q*g) is constant exactly when f = g or p = 0.
+        p, q, f, g = self._ints
+        return Fraction(p, q) if not p or f == g else None
 
     # -- arithmetic --------------------------------------------------------
 
@@ -130,20 +161,23 @@ class RationalFunction:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if self.rank == 1:
-            p1, q1, a, b = _int_parts(self)
-            p2, q2, c, d = _int_parts(other)
+        if self._ints is not None:
+            p1, q1, a, b = self._ints
+            p2, q2, c, d = other._ints
             num = int_product_sum([(p1 * q2, a, d), (p2 * q1, c, b)])
             den = int_product_sum([(1, b, d)])
-            return RationalFunction._normal(*_normal_form(1, q1 * q2, num, den))
+            return RationalFunction._from_ints(_normal_form(1, q1 * q2, num, den))
         return RationalFunction(
-            self.num * other.den + other.num * self.den, self.den * other.den
+            self._num * other._den + other._num * self._den, self._den * other._den
         )
 
     __radd__ = __add__
 
     def __neg__(self) -> "RationalFunction":
-        return RationalFunction._coprime(-self.num, self.den)
+        if self._ints is not None:
+            p, q, f, g = self._ints
+            return RationalFunction._from_ints((-p, q, f, g))
+        return RationalFunction(-self._num, self._den)
 
     def __sub__(self, other) -> "RationalFunction":
         other = self._coerce(other)
@@ -161,20 +195,23 @@ class RationalFunction:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if self.rank == 1:
-            p1, q1, a, b = _int_parts(self)
-            p2, q2, c, d = _int_parts(other)
+        if self._ints is not None:
+            p1, q1, a, b = self._ints
+            p2, q2, c, d = other._ints
             num = int_product_sum([(1, a, c)])
             den = int_product_sum([(1, b, d)])
-            return RationalFunction._normal(*_normal_form(p1 * p2, q1 * q2, num, den))
-        return RationalFunction(self.num * other.num, self.den * other.den)
+            return RationalFunction._from_ints(_normal_form(p1 * p2, q1 * q2, num, den))
+        return RationalFunction(self._num * other._num, self._den * other._den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "RationalFunction":
-        if self.num.is_zero():
+        if self.is_zero():
             raise ZeroDivisionError("zero has no inverse")
-        return RationalFunction._coprime(self.den, self.num)
+        if self._ints is not None:
+            p, q, f, g = self._ints
+            return RationalFunction._from_ints((q if p > 0 else -q, abs(p), g, f))
+        return RationalFunction(self._den, self._num)
 
     def __truediv__(self, other) -> "RationalFunction":
         other = self._coerce(other)
@@ -193,7 +230,12 @@ class RationalFunction:
             raise ValueError("rational function powers must be integers")
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        return RationalFunction._coprime(self.num**exponent, self.den**exponent)
+        if self._ints is not None:
+            p, q, f, g = self._ints
+            return RationalFunction._from_ints(
+                (p**exponent, q**exponent, int_power(f, exponent), int_power(g, exponent))
+            )
+        return RationalFunction(self._num**exponent, self._den**exponent)
 
     # -- comparisons --------------------------------------------------------
 
@@ -201,7 +243,9 @@ class RationalFunction:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self.num * other.den == other.num * self.den
+        if self._ints is not None:
+            return self._ints == other._ints
+        return self._num * other._den == other._num * self._den
 
     __hash__ = None  # not canonical in rank > 1
 
@@ -212,25 +256,16 @@ class RationalFunction:
         return f"RationalFunction({str(self)!r})"
 
 
-def _int_parts(r: RationalFunction) -> tuple[int, int, dict[int, int], dict[int, int]]:
-    """(p, q, f, g) with r = p*f / (q*g), for int maps f and g."""
-    (n, f), (d, g) = int_form(r.num), int_form(r.den)
-    return d, n, f, g
-
-
-def _normal_form(
-    p: int, q: int, f: dict[int, int], g: dict[int, int]
-) -> tuple[LaurentPolynomial, LaurentPolynomial]:
-    """The normal-form (num, den) of p*f / (q*g), for nonzero ints p, q and
-    int maps f and g != 0 of rank-1 polynomials.
+def _normal_form(p: int, q: int, f: dict[int, int], g: dict[int, int]) -> IntForm:
+    """The integer form of p*f / (q*g), for nonzero ints p, q and int maps
+    f and g != 0 of rank-1 polynomials.
 
     The common X-power comes out, both sides become primitive with positive
     leading coefficients, the gcd of two sides with two or more terms each
-    is divided out, and the signs and contents move into num's scale p/q,
-    which is applied last.
+    is divided out, and the signs and contents move into p/q.
     """
     if not f:
-        return LaurentPolynomial.zero(1), LaurentPolynomial.one(1)
+        return _ZERO_FORM
     low = min(min(f), min(g))
     if low:
         f = {e - low: c for e, c in f.items()}
@@ -239,8 +274,12 @@ def _normal_form(
     g_content, g = int_primitive(g)
     if len(f) > 1 and len(g) > 1:
         _, f, g = int_gcd(f, g)
-    scale = Fraction(p * f_content, q * g_content)
-    return from_int_form(f, scale.numerator, scale.denominator), from_int_form(g)
+    p *= f_content
+    q *= g_content
+    common = math.gcd(p, q)
+    if q < 0:
+        common = -common
+    return p // common, q // common, f, g
 
 
 def _extract_common_monomial(
@@ -249,8 +288,8 @@ def _extract_common_monomial(
     """Divide num and den by the largest monomial dividing both.
 
     Afterwards all exponents are componentwise nonnegative and for each pair
-    of coordinatewise minima at least one is zero; rank-1 pairs become true
-    polynomials not both divisible by X.  A zero numerator gets denominator 1.
+    of coordinatewise minima at least one is zero.  A zero numerator gets
+    denominator 1.
     """
     if num.is_zero():
         return num, LaurentPolynomial.one(num.rank)
@@ -329,19 +368,28 @@ def normalize_reciprocal_sum(
 def sigma_map(r: RationalFunction) -> RationalFunction:
     """The field automorphism sending X^g to X^-g, applied term by term.
 
-    In rank 1, num and den are polynomials not both divisible by X, so
-    X^m num(1/X) / X^m den(1/X), m the larger degree, is again such a
-    coprime pair, and its denominator has the same coefficients; its new
-    leading coefficient is the old lowest one, and a sign fixes that.
+    In rank 1, f and g are polynomials not both divisible by X, so
+    X^m f(1/X) / X^m g(1/X), m the larger degree, is again such a coprime
+    pair with the same coefficients; each new leading coefficient is the
+    old lowest one, and its sign moves into p.
     """
-    if r.rank > 1:
-        return RationalFunction._coprime(r.num.sigma(), r.den.sigma())
-    if r.is_zero():
+    if r._ints is None:
+        return RationalFunction(r.num.sigma(), r.den.sigma())
+    p, q, f, g = r._ints
+    if not p:
         return r
-    num, den = r.num, r.den
-    m = max(num.degree(), den.degree())
-    sign = 1 if den.coeff(den.lex_min_exponent()) > 0 else -1
-    return RationalFunction._normal(num.reversal(m).scale(sign), den.reversal(m).scale(sign))
+    m = max(max(f), max(g))
+    f_sign, f = _reversal(f, m)
+    g_sign, g = _reversal(g, m)
+    return RationalFunction._from_ints((f_sign * g_sign * p, q, f, g))
+
+
+def _reversal(f: dict[int, int], m: int) -> tuple[int, dict[int, int]]:
+    """(s, s * X^m f(1/X)) for a nonzero int map f of degree at most m, with
+    the sign s that makes the new leading coefficient positive."""
+    if f[min(f)] > 0:
+        return 1, {m - e: c for e, c in f.items()}
+    return -1, {m - e: -c for e, c in f.items()}
 
 
 def sigma_of_reciprocal(f: LaurentPolynomial) -> RationalFunction:

@@ -167,6 +167,18 @@ def test_product_limit_exits_two_quickly():
         assert err == "error: product at position 9 exceeds the size limit 1048576\n", expr
 
 
+def test_sum_limit_exits_two_quickly():
+    # Each reciprocal is within the limits; the sum is checked before it is
+    # formed (1.6 s and 8.3 s to compute before).
+    for expr in ("1/(X+1)^400 + 1/(X-1)^400", "1/(X+1)^700 - 1/(X-1)^700"):
+        for command in ("member", "recip-member"):
+            start = time.perf_counter()
+            code, out, err = run_cli(command, "--gens", "4,7,9", "--expr", expr)
+            assert time.perf_counter() - start < 1.0, expr
+            assert (code, out) == (2, ""), expr
+            assert err == "error: sum at position 12 exceeds the size limit 1048576\n", expr
+
+
 def test_parenthesised_factor_limit_exits_two_quickly():
     # A parenthesised factor stays deferred, so the product is checked before
     # its power is computed (1.2-1.5 s when the group was forced first).

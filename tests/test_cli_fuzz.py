@@ -133,6 +133,23 @@ def test_membership_commands(command, gens, expr):
     check(command, "--gens", gens, "--expr", expr)
 
 
+# Sums and differences of high powers near the size limit: each summand is
+# within it, and the sum is estimated before it is formed.
+HIGH_POWER = st.tuples(
+    st.sampled_from(["X+1", "X-1", "2*X-1", "X^2+1", "1-X^3", "X+1/2"]), st.integers(100, 800)
+).map("({0[0]})^{0[1]}".format)
+POWER_SUMS = st.tuples(
+    st.sampled_from(["", "1/"]), HIGH_POWER, st.sampled_from([" + ", " - "]), st.sampled_from(["", "1/"]), HIGH_POWER
+).map("".join)
+
+
+@hypothesis.settings(FUZZ, max_examples=30)
+@hypothesis.given(st.sampled_from(["member", "recip-member"]), POWER_SUMS)
+def test_sums_of_high_powers(command, expr):
+    code, _, err = check(command, "--gens", "4,7,9", "--expr", expr)
+    assert code in (0, 2) and ("sum at position" in err or "power at position" in err or not err), (expr, err)
+
+
 @FUZZ
 @hypothesis.given(st.integers(1, 3).flatmap(lambda rank: st.tuples(st.just(rank), expressions(vector_rank=rank))))
 def test_valuation(case):

@@ -1,5 +1,6 @@
 """Core Laurent-polynomial arithmetic: construction, ring axioms, helpers."""
 
+import math
 import random
 import time
 from fractions import Fraction
@@ -18,6 +19,7 @@ from recip.laurent import (
     from_int_form,
     int_form,
     int_gcd,
+    int_power,
     poly_divmod,
     poly_gcd,
 )
@@ -364,13 +366,21 @@ def test_int_form_round_trip():
     assert int_form(LaurentPolynomial.zero(1)) == (1, {})
 
 
-def test_scale_by_a_unit_and_reversal():
+def test_int_power_matches_the_polynomial_power():
+    rng = random.Random(103)
+    for _ in range(60):
+        p = random_poly(rng, 1, span=4)
+        d, f = int_form(p)
+        k = rng.randint(0, 9)
+        assert from_int_form(int_power(f, k), 1, d**k) == p**k, (p, k)
+    assert int_power({}, 0) == {0: 1} and int_power({}, 3) == {}
+    assert int_power({0: 1, 1: 1}, 723)[361] == math.comb(723, 361)
+
+
+def test_scale_by_a_unit():
     p = parse_poly("1/2*X^-3 - 2/3 + 5*X^4")
     assert p.scale(1) is p
     assert p.scale(-1) == -p == p.scale(Fraction(-1))
-    assert p.reversal(4) == parse_poly("1/2*X^7 - 2/3*X^4 + 5")
-    with pytest.raises(ValueError):
-        LaurentPolynomial(2, {(1, 1): 1}).reversal(1)
 
 
 def test_format_rank1():

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from recip import laurent, membership, ratfunc
-from recip.laurent import MAX_DEGREE, LaurentPolynomial, LimitExceeded
+from recip.laurent import MAX_DEGREE, LaurentPolynomial, LimitExceeded, int_form
 from recip.membership import (
     LINEAR_SYSTEM_INFEASIBLE,
     MAX_SEARCH_SIZE,
@@ -341,6 +341,16 @@ def test_witness_rejects_bad_bounds():
         brute_force_witness(RF("1/X^4"), S479, 2, 5, [Fraction(0)], seed=0)
 
 
+def unreduced(num, den):
+    """num/den as a rank-1 RationalFunction that keeps any common factor:
+    its num and den are num and den times one constant (every public
+    constructor reduces)."""
+    if num.is_zero():
+        return RationalFunction.zero(1)
+    (n, f), (d, g) = int_form(num), int_form(den)
+    return RationalFunction._from_ints((d, n, f, g))
+
+
 def test_single_denominator_of_an_unreduced_fraction():
     # r = g/(g*d) keeps the common factor g; num(r) * d = den(r) still fixes
     # d, so stage 1 finds it, as the enumerating search does.
@@ -349,7 +359,7 @@ def test_single_denominator_of_an_unreduced_fraction():
     for k in range(150):
         g = LaurentPolynomial(1, {(0,): 1, (rng.randint(1, 4),): rng.choice((1, -1, 2))})
         d = LaurentPolynomial(1, {(rng.randint(0, 9),): rng.choice((1, -1, 2, 3)) for _ in range(rng.randint(1, 3))})
-        r = RationalFunction._coprime(g, g * d)
+        r = unreduced(g, g * d)
         assert len(r.num) == 2
         witness = brute_force_witness(r, S479, 1, 9, (1, -1, 2), seed=k, random_trials=0)
         expected = brute_force_witness_oracle(r, S479, 1, 9, (1, -1, 2), seed=k, random_trials=0)
@@ -413,6 +423,12 @@ def random_reciprocal_sum_oracle(S, rng, max_terms=4, max_degree=12,
     return tuple(denominators)
 
 
+def same_value(a, b):
+    """a = b by cross-multiplication, so also for a fraction left unreduced
+    (``==`` compares the normal forms of rank-1 fractions)."""
+    return a.num * b.den == b.num * a.den
+
+
 def brute_force_witness_oracle(r, S, max_terms, max_degree, coeff_pool, seed, random_trials=400):
     """The earlier search: every candidate is checked by normalizing its sum
     (a gcd per addition), stage 2 by a Laurent sum of monomial reciprocals."""
@@ -421,13 +437,13 @@ def brute_force_witness_oracle(r, S, max_terms, max_degree, coeff_pool, seed, ra
     for m in members:
         for c in pool:
             d = LaurentPolynomial(1, {(m,): c})
-            if normalize_reciprocal_sum([d]) == r:
+            if same_value(normalize_reciprocal_sum([d]), r):
                 return (d,)
     for m1, m2 in itertools.combinations(members, 2):
         for c1 in pool:
             for c2 in pool:
                 d = LaurentPolynomial(1, {(m1,): c1, (m2,): c2})
-                if normalize_reciprocal_sum([d]) == r:
+                if same_value(normalize_reciprocal_sum([d]), r):
                     return (d,)
     monomials = [LaurentPolynomial(1, {(m,): c}) for m in members for c in pool]
     checks = 0
@@ -440,7 +456,7 @@ def brute_force_witness_oracle(r, S, max_terms, max_degree, coeff_pool, seed, ra
             for idx in combo:
                 exponent, coeff = next(monomials[idx].terms())
                 total = total + LaurentPolynomial(1, {(-exponent[0],): 1 / coeff})
-            if RationalFunction(total) == r:
+            if same_value(RationalFunction(total), r):
                 return tuple(monomials[idx] for idx in combo)
         if checks > 60000:
             break
@@ -452,7 +468,7 @@ def brute_force_witness_oracle(r, S, max_terms, max_degree, coeff_pool, seed, ra
             width = rng.randint(1, min(3, len(members)))
             support = rng.sample(members, width)
             denominators.append(LaurentPolynomial(1, {(m,): rng.choice(pool) for m in support}))
-        if normalize_reciprocal_sum(denominators) == r:
+        if same_value(normalize_reciprocal_sum(denominators), r):
             return tuple(denominators)
     return None
 
@@ -534,7 +550,7 @@ def test_screened_sum_check_matches_plain_cross_multiplication():
             r = normalize_reciprocal_sum([random_nonzero_poly(rng, polynomial=True, max_terms=3, span=5)])
         else:  # an arbitrary fraction, unreduced
             c = random_nonzero_poly(rng, polynomial=True, max_terms=2, span=2)
-            r = RationalFunction._coprime(random_poly(rng, polynomial=True) * c,
+            r = unreduced(random_poly(rng, polynomial=True) * c,
                                           random_nonzero_poly(rng, polynomial=True) * c)
         expected = plain_sums_to(ds, r)
         assert membership._sums_to(ds, r) == expected, (ds, r)

@@ -205,3 +205,37 @@ def test_sum_of_high_powers_is_fast():
     r = parse_ratfunc("1/(X+1)^100 + 1/(X+2)^100")
     assert time.perf_counter() - start < 1.0
     assert (r.num.degree(), r.den.degree()) == (100, 200)
+
+
+def test_sum_size_limit_boundaries():
+    # p/q +- r/s is estimated as (p*s +- r*q)/(q*s); each reciprocal here is
+    # within the limit, and their sum is checked before it is formed.
+    for op in "+-":
+        r = parse_ratfunc(f"1/(X+1)^323 {op} 1/(X-1)^323")
+        assert (r.num.degree(), r.den.degree()) == (323 if op == "+" else 322, 646)
+        with pytest.raises(LimitExceeded, match="sum at position 12 "):
+            parse_ratfunc(f"1/(X+1)^324 {op} 1/(X-1)^324")
+    # A sum's terms are bounded by the box around both supports: adding X^723
+    # keeps (X+1)^723 at 724 terms, adding X^-1 makes it 725.
+    assert len(parse_poly("(X+1)^723 - X^723")) == 723
+    for text, position in (("(X+1)^723 + X^-1", 10), ("X^-1 + (X+1)^723", 5), ("1 - X^-1 - (X+1)^723", 9)):
+        with pytest.raises(LimitExceeded, match=f"sum at position {position} "):
+            parse_ratfunc(text)
+    assert parse_ratfunc("91^149796 + 1/2").constant_value() == 91**149796 + Fraction(1, 2)
+    # A sum has one bit more than its wider side: 2^k counts k bits.
+    assert parse_ratfunc("2^1048573 + 1").constant_value() == 2**1048573 + 1
+    with pytest.raises(LimitExceeded, match="sum at position 10 "):
+        parse_ratfunc("2^1048574 + 1")
+
+
+def test_sums_of_high_powers_are_refused_quickly():
+    # These took 1.6 s, 8.3 s and 15.9 s to compute with the heuristic gcd.
+    for text in (
+        "1/(X+1)^400 + 1/(X-1)^400",
+        "1/(X+1)^700 + 1/(X-1)^700",
+        "1/(X+1)^700 + 1/(X-1)^700 + 1/(X^2+1)^350",
+    ):
+        start = time.perf_counter()
+        with pytest.raises(LimitExceeded, match="sum at position 12 "):
+            parse_ratfunc(text)
+        assert time.perf_counter() - start < 1.0, text

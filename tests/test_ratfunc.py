@@ -1,13 +1,26 @@
 """Rational functions, reciprocal sums, the sigma automorphism, and the
 telescoping geometric product."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from recip import ratfunc
-from recip.laurent import LaurentPolynomial, _dense_divmod, dense_coeffs, from_dense, poly_divmod
+from recip.laurent import (
+    LaurentPolynomial,
+    _dense_divmod,
+    dense_coeffs,
+    from_dense,
+    from_int_form,
+    int_form,
+    int_gcd,
+    int_primitive,
+    int_product_sum,
+    poly_divmod,
+)
+from recip.membership import decide_membership, in_reciprocal_complement
 from recip.parse import parse_poly, parse_ratfunc
 from recip.ratfunc import (
     RationalFunction,
@@ -17,6 +30,7 @@ from recip.ratfunc import (
     sigma_map,
     sigma_of_reciprocal,
 )
+from recip.semigroup import ns_create
 
 from conftest import COEFFS, random_nonzero_poly, random_poly, random_ratfunc
 
@@ -422,13 +436,176 @@ def test_integer_path_against_sympy():
 
 def test_rank1_sigma_map_matches_the_coprime_path():
     # The reversal by the larger degree against the rank-generic path:
-    # negate the exponents, take out the common monomial, rescale.
+    # negate the exponents and normalise the pair, which is coprime.
     for num, den in _differential_pairs(79, 200):
         r = RationalFunction(num, den)
-        expected = RationalFunction._coprime(r.num.sigma(), r.den.sigma())
+        expected = RationalFunction(r.num.sigma(), r.den.sigma())
         value = sigma_map(r)
         assert (value.num, value.den) == (expected.num, expected.den), r
         assert sigma_map(value) == r
+
+
+# -- the integer form and lazy num/den -----------------------------------------
+#
+# A copy of the rank-1 path as it ran before the integer form was kept: every
+# result was built as a (num, den) pair of Fraction polynomials at once, and
+# each operation read the integer maps back from that pair.
+
+
+def _eager_parts(pair):
+    (n, f), (d, g) = int_form(pair[0]), int_form(pair[1])
+    return d, n, f, g
+
+
+def _eager_normal_form(p, q, f, g):
+    if not f:
+        return LaurentPolynomial.zero(1), LaurentPolynomial.one(1)
+    low = min(min(f), min(g))
+    f = {e - low: c for e, c in f.items()}
+    g = {e - low: c for e, c in g.items()}
+    f_content, f = int_primitive(f)
+    g_content, g = int_primitive(g)
+    if len(f) > 1 and len(g) > 1:
+        _, f, g = int_gcd(f, g)
+    scale = Fraction(p * f_content, q * g_content)
+    return from_int_form(f, scale.numerator, scale.denominator), from_int_form(g)
+
+
+def _eager_coprime(num, den):
+    if num.is_zero():
+        return num, LaurentPolynomial.one(1)
+    common = (-min(e for (e,) in num.support() + den.support()),)
+    num, den = num.shift(common), den.shift(common)
+    scale = 1 / den.signed_content()
+    return num.scale(scale), den.scale(scale)
+
+
+def _eager_add(x, y):
+    (p1, q1, a, b), (p2, q2, c, d) = _eager_parts(x), _eager_parts(y)
+    num = int_product_sum([(p1 * q2, a, d), (p2 * q1, c, b)])
+    return _eager_normal_form(1, q1 * q2, num, int_product_sum([(1, b, d)]))
+
+
+def _eager_mul(x, y):
+    (p1, q1, a, b), (p2, q2, c, d) = _eager_parts(x), _eager_parts(y)
+    return _eager_normal_form(p1 * p2, q1 * q2, int_product_sum([(1, a, c)]), int_product_sum([(1, b, d)]))
+
+
+def _eager_neg(x):
+    return _eager_coprime(-x[0], x[1])
+
+
+def _eager_inverse(x):
+    return _eager_coprime(x[1], x[0])
+
+
+def _eager_pow(x, e):
+    if e < 0:
+        return _eager_pow(_eager_inverse(x), -e)
+    return _eager_coprime(x[0] ** e, x[1] ** e)
+
+
+def _eager_sigma(x):
+    num, den = x
+    if num.is_zero():
+        return x
+    m = max(num.degree(), den.degree())
+    sign = 1 if den.coeff(den.lex_min_exponent()) > 0 else -1
+    return tuple(
+        LaurentPolynomial(1, {(m - e,): sign * c for (e,), c in poly.terms()}) for poly in (num, den)
+    )
+
+
+def _check_int_form(r):
+    """The invariants of the rank-1 integer form (p, q, f, g)."""
+    p, q, f, g = r._ints
+    if not p:
+        assert r._ints == (0, 1, {}, {0: 1})
+        return
+    assert q > 0 and math.gcd(p, q) == 1
+    for side in (f, g):
+        assert side and all(side.values())
+        assert math.gcd(*side.values()) == 1 and side[max(side)] > 0
+    assert min(min(f), min(g)) == 0
+
+
+def _lazy_and_eager(pairs):
+    """Fresh (unread) rank-1 values of the (num, den) pairs, and their eager
+    (num, den) pairs."""
+    return [(RationalFunction(num, den), _eager_normal_form(*_eager_parts((num, den)))) for num, den in pairs]
+
+
+def test_lazy_num_den_match_the_eager_path():
+    pairs = list(_differential_pairs(89, 300))
+    kinds = {"zero": 0, "constant": 0, "one-term": 0, "negative-lead": 0}
+    for num, den in pairs:
+        kinds["zero"] += num.is_zero()
+        kinds["constant"] += num.is_constant() or den.is_constant()
+        kinds["one-term"] += len(num) == 1 or len(den) == 1
+        kinds["negative-lead"] += den.coeff(den.lex_max_exponent()) < 0
+    assert all(n >= 10 for n in kinds.values()), kinds
+    cases = _lazy_and_eager(pairs)
+    for (r, x), (s, y) in zip(cases, cases[1:] + cases[:1]):
+        results = [
+            ("+", r + s, _eager_add(x, y)),
+            ("-", r - s, _eager_add(x, _eager_neg(y))),
+            ("*", r * s, _eager_mul(x, y)),
+            ("neg", -r, _eager_neg(x)),
+            ("sigma", sigma_map(r), _eager_sigma(x)),
+            ("pow3", r**3, _eager_pow(x, 3)),
+            ("pow0", r**0, _eager_pow(x, 0)),
+        ]
+        if not s.is_zero():
+            results += [
+                ("/", r / s, _eager_mul(x, _eager_inverse(y))),
+                ("inverse", s.inverse(), _eager_inverse(y)),
+                ("pow-2", s**-2, _eager_pow(y, -2)),
+            ]
+        for name, value, (num, den) in results:
+            assert value._num is None and value._den is None, name
+            _check_int_form(value)
+            assert (dict(value.num.terms()), dict(value.den.terms())) == (
+                dict(num.terms()), dict(den.terms())), (name, r, s)
+            assert RationalFunction(value.num, value.den)._ints == value._ints, (name, r, s)
+        _check_int_form(r)
+        assert (r.num, r.den) == x
+
+
+def test_rank1_paths_build_no_fraction_polynomials(monkeypatch):
+    # The arithmetic, sigma, the membership decision and inspection read the
+    # integer form; from_int_form is ratfunc's only way to num and den.
+    S = ns_create([4, 7, 9])
+    values = [value for value, _ in _lazy_and_eager(_differential_pairs(97, 80))]
+    one = RationalFunction.one(1)
+
+    def forbidden(*args):
+        raise AssertionError("num or den built")
+
+    monkeypatch.setattr(ratfunc, "from_int_form", forbidden)
+    decided = 0
+    for r, s in zip(values, values[1:] + values[:1]):
+        for value in (r + s, r * s, r - s, -r, sigma_map(r), r**2):
+            decided += decide_membership(value, S).is_member
+            in_reciprocal_complement(value, S)
+            assert value.rank == 1
+            value.is_zero()
+            value.constant_value()
+            assert value == value and (value == one) == (value.constant_value() == 1)
+        if not s.is_zero():
+            decide_membership(r / s, S)
+            s.inverse()
+    assert 0 < decided < 6 * len(values)
+    assert all(value._num is None and value._den is None for value in values)
+
+
+def test_equality_compares_the_integer_forms():
+    assert RF("(X^2 - 1)/(X - 1)")._ints == (1, 1, {0: 1, 1: 1}, {0: 1})
+    assert RF("-1/(2*X - 2)")._ints == RF("1/(2 - 2*X)")._ints == (-1, 2, {0: 1}, {0: -1, 1: 1})
+    assert RF("1/(2 - 2*X)") == RF("-1/(2*X - 2)")
+    assert RF("1/(1 + X)") != RF("2/(2 + X)")
+    assert RF("3/X") != RF("3*X")
+    assert RationalFunction.zero(1)._ints == (0, 1, {}, {0: 1})
+    assert RF("6/4").constant_value() == Fraction(3, 2) and RF("6/4") == Fraction(3, 2)
 
 
 # -- sigma_of_reciprocal ------------------------------------------------------
