@@ -120,7 +120,7 @@ def _cmd_thm56(args) -> dict:
 def _kplusm_names(n: int) -> tuple[str, ...]:
     if n == 2:
         return ("Y", "X")
-    return ("Y",) + tuple(f"X{i}" for i in range(2, n + 1))
+    return ("Y",) + tuple([f"X{i}" for i in range(2, n + 1)])
 
 
 def _cmd_kplusm(args) -> dict:

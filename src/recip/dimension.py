@@ -138,9 +138,9 @@ def si_witness(M: LexMonoid, i: int) -> tuple[int, ...] | None:
             offset = sum(f.base[c] for f in used)  # lambda_f = 1 + mu_f
             if c < target:
                 constraints.append((tuple(row), Fraction(-offset)))
-                constraints.append((tuple(-v for v in row), Fraction(offset)))
+                constraints.append((tuple([-v for v in row]), Fraction(offset)))
             else:
-                constraints.append((tuple(-v for v in row), Fraction(offset - 1)))
+                constraints.append((tuple([-v for v in row]), Fraction(offset - 1)))
         solution = fm_witness(constraints, nvars)
         if solution is None:
             continue
@@ -250,7 +250,7 @@ def dimension_report(M: LexMonoid) -> DimensionReport:
     """Stratum flags plus the dimension interval and, when settled, the
     exact dimension of the reciprocal complement of the monoid algebra."""
     leads = _leading_indices(M)  # si_nonempty's lemma, read once for every stratum
-    flags = tuple(i in leads for i in range(M.rank))
+    flags = tuple([i in leads for i in range(M.rank)])
     t = flags.count(False)
     exact: int | None = None
     source: str | None = None
@@ -283,7 +283,7 @@ def free_shift_monoid(n: int, m: int) -> LexMonoid:
         raise LimitExceeded(f"free-shift rank {n} exceeds the limit {MAX_FREE_SHIFT_RANK}")
     families = []
     for j in range(m):
-        base = tuple(1 if c == j else 0 for c in range(n))
+        base = tuple([1 if c == j else 0 for c in range(n)])
         for i in range(m, n):
             families.append(ShiftFamily(base, frozenset({i})))
     return LexMonoid(rank=n, families=tuple(families))
@@ -296,14 +296,14 @@ def full_cone_monoid(rank: int) -> LexMonoid:
         raise ValueError("rank must be positive")
     families = []
     for i in range(rank - 1):
-        base = tuple(1 if c == i else 0 for c in range(rank))
+        base = tuple([1 if c == i else 0 for c in range(rank)])
         families.append(ShiftFamily(base, frozenset(range(i + 1, rank))))
-    last = tuple(1 if c == rank - 1 else 0 for c in range(rank))
+    last = tuple([1 if c == rank - 1 else 0 for c in range(rank)])
     return LexMonoid(rank=rank, generators=(last,), families=tuple(families))
 
 
 def monoid_from_semigroup(S: NumericalSemigroup) -> LexMonoid:
-    return LexMonoid(rank=1, generators=tuple((g,) for g in S.generators))
+    return LexMonoid(rank=1, generators=tuple([(g,) for g in S.generators]))
 
 
 def reciprocal_noetherian(M: LexMonoid) -> bool:
@@ -341,10 +341,10 @@ def monoid_from_json(obj: dict) -> LexMonoid:
         raise ValueError('monoid families must be a list of objects with integer lists "base" and "free"')
     return LexMonoid(
         rank=rank,
-        generators=tuple(tuple(g) for g in generators),
-        families=tuple(
+        generators=tuple([tuple(g) for g in generators]),
+        families=tuple([
             ShiftFamily(tuple(f["base"]), frozenset(c - 1 for c in f["free"])) for f in families
-        ),
+        ]),
     )
 
 

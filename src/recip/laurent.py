@@ -242,7 +242,7 @@ class LaurentPolynomial:
         product: dict[Exponent, Fraction] = {}
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
-                exponent = tuple(a + b for a, b in zip(e1, e2))
+                exponent = tuple([a + b for a, b in zip(e1, e2)])
                 value = product.get(exponent, _ZERO) + c1 * c2
                 if value == 0:
                     product.pop(exponent, None)
@@ -283,12 +283,12 @@ class LaurentPolynomial:
             raise ValueError("shift vector has the wrong rank")
         return self._raw(
             self.rank,
-            {tuple(a + b for a, b in zip(e, delta)): c for e, c in self._terms.items()},
+            {tuple([a + b for a, b in zip(e, delta)]): c for e, c in self._terms.items()},
         )
 
     def sigma(self) -> "LaurentPolynomial":
         """Negate every exponent vector (the map X^g -> X^-g)."""
-        return self._raw(self.rank, {tuple(-a for a in e): c for e, c in self._terms.items()})
+        return self._raw(self.rank, {tuple([-a for a in e]): c for e, c in self._terms.items()})
 
     @classmethod
     def _raw(cls, rank: int, terms: dict[Exponent, Fraction]) -> "LaurentPolynomial":

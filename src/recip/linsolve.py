@@ -1,13 +1,15 @@
-"""Exact linear algebra over Q, on Fractions.
+"""Exact linear algebra over Q.
 
 Two solvers: sparse elimination for affine systems (used by the membership
 certificate search, whose rows hold a handful of nonzeros out of thousands
 of columns) and Fourier-Motzkin elimination with witness back-substitution
-for linear inequality feasibility (used by the monoid stratum checks).
+for linear inequality feasibility (used by the monoid stratum checks), on
+Fractions.
 
 Affine systems are sparse in and out: a row is a ``{column: coefficient}``
 mapping whose absent columns are zero, and a solution is a
-``{column: value}`` dict holding only the nonzero values.
+``{column: value}`` dict holding only the nonzero values.  The elimination
+runs fraction-free, on ints; only back-substitution builds Fractions.
 """
 
 from __future__ import annotations
@@ -21,41 +23,82 @@ Constraint = tuple[Row, Fraction]  # coefficients a, bound b: a . x <= b
 
 
 def solve_affine(
-    rows: Sequence[Mapping[int, Fraction]], rhs: Sequence[Fraction]
+    rows: Sequence[Mapping[int, int | Fraction]], rhs: Sequence[int | Fraction]
 ) -> dict[int, Fraction] | None:
     """One exact solution of rows . x = rhs as {column: nonzero value}, or None.
 
     Each row maps columns to coefficients (absent columns are zero); None
-    means the system is inconsistent.  Every row is reduced against the
-    pivots found so far, always on its smallest column, then the pivots are
-    back-substituted with free variables set to zero, so the answer is
-    deterministic; it equals Gauss-Jordan's, since the pivot columns do not
-    depend on elimination order.  Entries may be ints or Fractions; each
-    pivot is made a Fraction before it divides, so every value of the
+    means the system is inconsistent.  Entries may be ints or Fractions.
+    Elimination runs over Z: a row holding Fractions is first scaled by the
+    lcm of its denominators, and a row is reduced against a pivot with
+    leading entry l by cross-multiplying, l*row - a*pivot (both scaled down
+    by gcd(l, a)).  Scaling a row by a nonzero int keeps its zero pattern,
+    so the pivot columns and the solution are those of elimination over Q.
+
+    Every row is reduced against the pivots found so far, always on its
+    smallest column, and kept primitive with a positive leading entry when
+    it becomes a pivot.  Then the pivots are back-substituted with free
+    variables set to zero, so the answer is deterministic; it equals
+    Gauss-Jordan's, since the pivot columns do not depend on elimination
+    order.  Back-substitution divides once per pivot, so every value of the
     solution is an exact Fraction.
     """
-    pivots: dict[int, tuple[dict[int, Fraction], Fraction]] = {}  # column -> (rest of row, rhs)
+    pivots: dict[int, tuple[int, dict[int, int], int]] = {}  # column -> (lead, rest of row, rhs)
     for row, b in zip(rows, rhs):
         entries = {c: v for c, v in row.items() if v}
+        if type(sum(entries.values(), b)) is not int:  # a Fraction in a sum makes it one
+            entries, b = _cleared(entries, b)
         while entries and (c := min(entries)) in pivots:
-            factor = entries.pop(c)
-            rest, pivot_b = pivots[c]
+            a = entries.pop(c)
+            lead, rest, pivot_b = pivots[c]
+            if lead != 1:
+                g = math.gcd(lead, a)
+                lead, a = lead // g, a // g
+                if lead != 1:
+                    entries = {k: lead * v for k, v in entries.items()}
+                    b *= lead
             for k, v in rest.items():
-                entries[k] = entries.get(k, 0) - factor * v
-                if not entries[k]:
+                if value := entries.get(k, 0) - a * v:
+                    entries[k] = value
+                else:
                     del entries[k]
-            b -= factor * pivot_b
+            b -= a * pivot_b
         if entries:  # its leading column c is not yet a pivot
-            factor = Fraction(entries.pop(c))
-            pivots[c] = ({k: v / factor for k, v in entries.items()}, b / factor)
+            lead = entries.pop(c)
+            g = math.gcd(lead, b, *entries.values())
+            if lead < 0:
+                g = -g
+            if g != 1:
+                lead, b = lead // g, b // g
+                entries = {k: v // g for k, v in entries.items()}
+            pivots[c] = (lead, entries, b)
         elif b:
             return None
+    values: dict[int, tuple[int, int]] = {}  # column -> (numerator, denominator)
     solution: dict[int, Fraction] = {}
     for c in sorted(pivots, reverse=True):
-        rest, b = pivots[c]
-        if value := b - sum(v * solution[k] for k, v in rest.items() if k in solution):
-            solution[c] = value
+        lead, rest, num = pivots[c]
+        den = 1
+        for k, v in rest.items():
+            if k in values:
+                n, d = values[k]
+                if d != den:  # bring num/den to the lcm of den and d
+                    m = d // math.gcd(den, d)
+                    num, den = num * m, den * m
+                num -= v * n * (den // d)
+        if num:
+            value = solution[c] = Fraction(num, den * lead)
+            values[c] = value.numerator, value.denominator
     return solution
+
+
+def _cleared(entries: dict[int, int | Fraction], b: int | Fraction) -> tuple[dict[int, int], int]:
+    """A row's entries and right-hand side times the lcm of their denominators."""
+    scale = math.lcm(b.denominator, *[v.denominator for v in entries.values()])
+    return (
+        {c: v.numerator * (scale // v.denominator) for c, v in entries.items()},
+        b.numerator * (scale // b.denominator),
+    )
 
 
 def _normalized(coeffs: tuple[Fraction, ...], bound: Fraction) -> Constraint:
@@ -67,7 +110,7 @@ def _normalized(coeffs: tuple[Fraction, ...], bound: Fraction) -> Constraint:
         math.gcd(*[v.numerator for v in values]),
         math.lcm(*[v.denominator for v in values]),
     )
-    return tuple(c / g for c in coeffs), bound / g
+    return tuple([c / g for c in coeffs]), bound / g
 
 
 def fm_witness(
@@ -96,10 +139,10 @@ def fm_witness(
         cp = up_coeffs[nvars - 1]
         for low_coeffs, low_bound in lowers:
             cn = low_coeffs[nvars - 1]
-            combined = tuple(
+            combined = tuple([
                 -cn * a + cp * b
                 for a, b in zip(up_coeffs[: nvars - 1], low_coeffs[: nvars - 1])
-            )
+            ])
             reduced.setdefault(_normalized(combined, -cn * up_bound + cp * low_bound))
     partial = fm_witness(list(reduced), nvars - 1)
     if partial is None:

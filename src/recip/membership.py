@@ -11,8 +11,10 @@ Searching for h is a finite problem: coefficients of p*h and q*h at the gap
 degrees of S' must vanish, each such coefficient at degree j involves only
 h_k with k <= j, and every degree at or beyond the conductor of S' lies in
 S' automatically.  So truncating h at the Frobenius number F' of S' loses
-nothing, and the gap conditions form a finite linear system over Q with
-h_0 = 1 pinned.  Feasibility yields a certificate; infeasibility is an exact
+nothing, and the gap conditions form a finite linear system with h_0 = 1
+pinned.  Its rows come from the integer form of r, so its coefficients are
+integers and ``solve_affine`` eliminates over Z; the solution h is
+rational.  Feasibility yields a certificate; infeasibility is an exact
 non-membership proof.
 
 The system has 2 * |gaps of S'| equations in the F' unknowns h_1 .. h_F',

@@ -75,6 +75,7 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 Box = tuple[tuple[int, int], ...]  # (lowest, highest) exponent per coordinate
 Shape = tuple[int, int, Box]  # term count, coefficient width, support box
+HeightShape = tuple[int, int, Box]  # term count, height, support box
 
 
 class _Factor(NamedTuple):
@@ -89,9 +90,10 @@ class _Factor(NamedTuple):
 
     def shapes(self) -> tuple[Shape, Shape]:
         """The numerator's and the denominator's shape, estimated for a power."""
+        num, den = _height_shapes(self.atom)
         if self.exponent is None:
-            return _shape(self.atom.num), _shape(self.atom.den)
-        return _power_shape(self.atom.num, self.exponent), _power_shape(self.atom.den, self.exponent)
+            return _shape(num), _shape(den)
+        return _power_shape(num, self.exponent), _power_shape(den, self.exponent)
 
     def value(self) -> RationalFunction:
         value = self.atom if self.exponent is None else self.atom ** self.exponent
@@ -263,14 +265,33 @@ class _Parser:
         return sign * int(token)
 
 
-def _height_shape(poly: LaurentPolynomial) -> tuple[int, int, Box]:
+def _height_shape(poly: LaurentPolynomial) -> HeightShape:
     """The term count, the height (widest numerator times widest
     denominator) and the support's box."""
     if poly.is_zero():
         return 0, 0, ()
     exponents, coeffs = zip(*list(poly.terms()))
     height = max(abs(c.numerator) for c in coeffs) * max(c.denominator for c in coeffs)
-    return len(coeffs), height, tuple((min(column), max(column)) for column in zip(*exponents))
+    return len(coeffs), height, tuple([(min(column), max(column)) for column in zip(*exponents)])
+
+
+def _height_shapes(r: RationalFunction) -> tuple[HeightShape, HeightShape]:
+    """The height shapes of num(r) and den(r).
+
+    A rank-1 fraction is read from its integer form p*f / (q*g), and neither
+    num nor den is built: den = g has int coefficients, and the coefficient
+    p*c/q of num reduces to (p*c/d) / (q/d) with d = gcd(c, q), because p
+    and q are coprime.
+    """
+    if r.rank != 1:
+        return _height_shape(r.num), _height_shape(r.den)
+    p, q, f, g = r._ints
+    den = len(g), max(map(abs, g.values())), ((min(g), max(g)),)
+    if not p:
+        return (0, 0, ()), den
+    gcds = [math.gcd(c, q) for c in f.values()]
+    height = abs(p) * max([abs(c) // d for c, d in zip(f.values(), gcds)]) * (q // min(gcds))
+    return (len(f), height, ((min(f), max(f)),)), den
 
 
 def _box_terms(box: Box) -> int:
@@ -278,22 +299,23 @@ def _box_terms(box: Box) -> int:
     return math.prod(high - low + 1 for low, high in box)
 
 
-def _shape(poly: LaurentPolynomial) -> Shape:
-    """The shape of poly itself; its width is the bits of height - 1, so 0
-    for unit coefficients."""
-    t, height, box = _height_shape(poly)
+def _shape(height_shape: HeightShape) -> Shape:
+    """The shape of a polynomial itself; its width is the bits of height - 1,
+    so 0 for unit coefficients."""
+    t, height, box = height_shape
     return t, (height - 1).bit_length() if t else 0, box
 
 
-def _power_shape(poly: LaurentPolynomial, k: int) -> Shape:
-    """Upper estimates for the shape of poly^k: the term count is a
-    multinomial count or the size of k times the support's box, and each
-    coefficient has at most k times the bits of (term count) * height."""
-    t, height, box = _height_shape(poly)
+def _power_shape(height_shape: HeightShape, k: int) -> Shape:
+    """Upper estimates for the shape of a polynomial's k-th power: the term
+    count is a multinomial count or the size of k times the support's box,
+    and each coefficient has at most k times the bits of (term count) *
+    height."""
+    t, height, box = height_shape
     if not t:
         return 0, 0, ()
     k = min(k, MAX_POWER_SIZE + 1)  # the size grows with k and exceeds the limit past it
-    box = tuple((k * low, k * high) for low, high in box)
+    box = tuple([(k * low, k * high) for low, high in box])
     return min(math.comb(k + t - 1, t - 1), _box_terms(box)), k * (t * height - 1).bit_length(), box
 
 
@@ -302,7 +324,7 @@ def _product_shape(a: Shape, b: Shape) -> Shape:
     the sum of the boxes, and coefficients that sum at most min(ta, tb)
     products of the two widths."""
     (ta, wa, ba), (tb, wb, bb) = a, b
-    box = tuple((la + lb, ha + hb) for (la, ha), (lb, hb) in zip(ba, bb))
+    box = tuple([(la + lb, ha + hb) for (la, ha), (lb, hb) in zip(ba, bb)])
     return min(ta * tb, _box_terms(box)), wa + wb + (min(ta, tb) - 1).bit_length(), box
 
 
@@ -314,7 +336,7 @@ def _sum_shape(a: Shape, b: Shape) -> Shape:
         return b
     if not tb:
         return a
-    box = tuple((min(la, lb), max(ha, hb)) for (la, ha), (lb, hb) in zip(ba, bb))
+    box = tuple([(min(la, lb), max(ha, hb)) for (la, ha), (lb, hb) in zip(ba, bb)])
     return min(ta + tb, _box_terms(box)), max(wa, wb) + 1, box
 
 
@@ -340,7 +362,7 @@ def parse_poly(text: str, rank: int = 1, names: tuple[str, ...] = ("X",)) -> Lau
     value = parse_ratfunc(text, rank, names)
     if len(value.den) != 1:
         raise ParseError("expression is not a polynomial", 0)
-    return value.num.shift(tuple(-e for e in value.den.lex_min_exponent()))
+    return value.num.shift(tuple([-e for e in value.den.lex_min_exponent()]))
 
 
 def parse_rational(text: str) -> Fraction:

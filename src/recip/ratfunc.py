@@ -293,7 +293,7 @@ def _extract_common_monomial(
     """
     if num.is_zero():
         return num, LaurentPolynomial.one(num.rank)
-    common = tuple(-min(column) for column in zip(*num.support(), *den.support()))
+    common = tuple([-min(column) for column in zip(*num.support(), *den.support())])
     if any(common):
         num = num.shift(common)
         den = den.shift(common)

@@ -122,8 +122,8 @@ def _from_bits(bits: int, size: int) -> NumericalSemigroup:
     while unreached := everything & ~reached:  # its lowest bit is the next generator
         generators.append((unreached & -unreached).bit_length() - 1)
         reached = _close(reached, generators[-1], window)
-    gaps = tuple(n for n in range(conductor) if gap_bits >> n & 1)
-    return NumericalSemigroup(tuple(generators), gaps, conductor - 1, conductor, members)
+    gaps = [n for n in range(conductor) if gap_bits >> n & 1]
+    return NumericalSemigroup(tuple(generators), tuple(gaps), conductor - 1, conductor, members)
 
 
 @lru_cache(maxsize=None)
@@ -137,7 +137,11 @@ def derive_sprime(S: NumericalSemigroup) -> NumericalSemigroup:
     # mirror >> (conductor - 1 - s) says s - d is in S.
     mirror = int(f"{S.members:0{conductor}b}"[::-1], 2)
     sprime = 0  # bit t says whether t < conductor is in S'
-    for s in S.members_up_to(conductor - 1):
+    members = S.members
+    while members:  # each member s below the conductor, lowest first
+        low = members & -members
+        members ^= low
+        s = low.bit_length() - 1
         limit = conductor - s  # targets s + x with x < limit stay below the conductor
         todo = mirror >> (conductor - 1 - s) & ((1 << min(s, limit)) - 1) & ~1  # differences d
         reach = 1

@@ -50,7 +50,7 @@ class ValuationValue:
     def __add__(self, other: "ValuationValue") -> "ValuationValue":
         if self.is_infinite or other.is_infinite:
             return ValuationValue.infinity()
-        return ValuationValue(tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return ValuationValue(tuple([a + b for a, b in zip(self.coords, other.coords)]))
 
     def _key(self):
         # Infinity compares above every finite vector.
@@ -75,7 +75,7 @@ def lex_valuation(r: RationalFunction) -> ValuationValue:
         return ValuationValue.infinity()
     nmin = r.num.lex_min_exponent()
     dmin = r.den.lex_min_exponent()
-    return ValuationValue(tuple(a - b for a, b in zip(nmin, dmin)))
+    return ValuationValue(tuple([a - b for a, b in zip(nmin, dmin)]))
 
 
 def in_valuation_ring(r: RationalFunction) -> bool:

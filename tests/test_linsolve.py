@@ -75,8 +75,8 @@ def test_solve_affine_sparse_rows_and_empty_system():
 
 
 def test_solve_affine_on_ints_gives_exact_fractions():
-    # Only pivots become Fractions, and they divide everything else, so
-    # int-only input never yields an int quotient or a float.
+    # Back-substitution divides by each pivot's leading entry into a
+    # Fraction, so int-only input never yields an int quotient or a float.
     rows = [{0: 2, 1: 1}, {0: 1, 1: 3, 2: 1}, {2: 3}]
     solution = solve_affine(rows, [1, 2, 2])
     assert solution == {0: F(1, 3), 1: F(1, 3), 2: F(2, 3)}
@@ -127,6 +127,76 @@ def test_solve_affine_matches_gauss_jordan():
         shapes["free variables"] += expected is not None and any(not any(col) for col in zip(*rows))
         shapes["inconsistent"] += expected is None
     assert min(shapes.values()) >= 50, shapes
+
+
+def fraction_solve_affine(rows, rhs):
+    """The sparse elimination over Q that solve_affine replaced: every pivot
+    row is divided by its leading entry, so the arithmetic is on Fractions."""
+    pivots = {}
+    for row, b in zip(rows, rhs):
+        entries = {c: v for c, v in row.items() if v}
+        while entries and (c := min(entries)) in pivots:
+            factor = entries.pop(c)
+            rest, pivot_b = pivots[c]
+            for k, v in rest.items():
+                entries[k] = entries.get(k, 0) - factor * v
+                if not entries[k]:
+                    del entries[k]
+            b -= factor * pivot_b
+        if entries:
+            factor = Fraction(entries.pop(c))
+            pivots[c] = ({k: v / factor for k, v in entries.items()}, b / factor)
+        elif b:
+            return None
+    solution = {}
+    for c in sorted(pivots, reverse=True):
+        rest, b = pivots[c]
+        if value := b - sum(v * solution[k] for k, v in rest.items() if k in solution):
+            solution[c] = value
+    return solution
+
+
+def test_solve_affine_matches_the_fraction_elimination():
+    # Elimination over Z must give exactly the solution of elimination over
+    # Q, on int, Fraction and 10^12-sized entries, with dependent rows
+    # (multiples and sums of earlier rows) and inconsistent right-hand sides.
+    rng = random.Random(15)
+    entries = {
+        "int": lambda: rng.randint(-4, 4),
+        "fraction": lambda: F(rng.randint(-4, 4), rng.randint(1, 6)),
+        "large": lambda: rng.randint(-(10**12), 10**12),
+        "mixed": lambda: rng.choice([rng.randint(-3, 3), F(rng.randint(-3, 3), 10**12 + 39)]),
+    }
+    seen = {"solved": 0, "inconsistent": 0, "dependent": 0, "free": 0}
+    for i in range(20_000):
+        draw = list(entries.values())[i % len(entries)]
+        m, n = rng.randint(0, 7), rng.randint(1, 7)
+        density = rng.choice([0.3, 0.6, 1.0])
+        rows = [{c: draw() for c in range(n) if rng.random() < density} for _ in range(m)]
+        target = {c: draw() for c in range(n)}
+        rhs = [sum((v * target[c] for c, v in row.items()), F(0)) for row in rows]
+        if m > 1 and rng.random() < 0.4:  # a dependent row
+            j, k, a = rng.randrange(m), rng.randrange(m), rng.choice([1, -2, F(3, 5)])
+            rows[j] = {c: a * v for c, v in rows[k].items()}
+            rhs[j] = a * rhs[k]
+            if rng.random() < 0.5:
+                rows[j] = {c: rows[j].get(c, 0) + rows[k - 1].get(c, 0) for c in {*rows[j], *rows[k - 1]}}
+                rhs[j] = rhs[j] + rhs[k - 1]
+            seen["dependent"] += 1
+        if m and rng.random() < 0.3:
+            rhs[rng.randrange(m)] += draw() or 1
+        if rng.random() < 0.5:
+            rhs = [int(b) if b.denominator == 1 else b for b in rhs]
+        expected = fraction_solve_affine(rows, rhs)
+        solution = solve_affine(rows, rhs)
+        assert solution == expected, (rows, rhs)
+        assert all(type(v) is F and v for v in (solution or {}).values())
+        if solution is None:
+            seen["inconsistent"] += 1
+        else:
+            seen["solved"] += 1
+            seen["free"] += len(solution) < n
+    assert min(seen.values()) >= 2000, seen
 
 
 def test_fm_simple_box():

@@ -33,7 +33,7 @@ from recip.ratfunc import (
 from recip.semigroup import derive_sprime, ns_create
 
 from conftest import random_nonzero_poly, random_poly
-from test_linsolve import gauss_jordan
+from test_linsolve import fraction_solve_affine, gauss_jordan
 from test_semigroup import representable_table
 
 S479 = ns_create([4, 7, 9])
@@ -140,6 +140,48 @@ def test_sparse_system_matches_dense_oracle():
         seen[verdict.obstruction or verdict.status] += 1
         seen["nontrivial"] += verdict.is_member and verdict.certificate != 1
     assert min(seen.values()) >= 100, seen
+
+
+def test_certificates_match_the_fraction_solve(monkeypatch):
+    # The certificate system solved over Z gives the verdicts and the
+    # certificates of elimination over Q: on sums and products of two
+    # reciprocals over <4,7,9>, on 1/(c X^s) + 1/(c1 + c2 X^t) over seeded
+    # three-generator semigroups up to <101,113,127> (all sent through
+    # sigma), and on random fractions, many of them non-members.
+    rng = random.Random(23)
+    coeffs = (1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2))
+    small = list(S479.members_up_to(12))[1:]
+
+    def denominator():
+        return LaurentPolynomial(1, {(m,): rng.choice(coeffs) for m in rng.sample(small, rng.randint(1, 3))})
+
+    cases = []
+    for _ in range(150):
+        a, b = (normalize_reciprocal_sum([denominator(), denominator()]) for _ in range(2))
+        cases += [(sigma_map(a + b), S479), (sigma_map(a * b), S479)]
+    for gens in [(11, 13, 17), (23, 29, 31), (43, 47, 53), (101, 113, 127)] + [
+        sorted(rng.sample(range(m, 2 * m), 3)) for m in (5, 8, 12, 18, 27) for _ in range(4)
+    ]:
+        if math.gcd(*gens) != 1:
+            continue
+        S = ns_create(gens)
+        members = list(S.members_up_to(2 * S.multiplicity))[1:]
+        for _ in range(4):
+            c1, c2 = rng.sample((1, 2), 2)
+            monomial = LaurentPolynomial(1, {(rng.choice(members),): rng.choice((1, -1, 2, -2))})
+            binomial = LaurentPolynomial(1, {(0,): c1 * rng.choice((1, -1)), (rng.choice(members),): c2 * rng.choice((1, -1))})
+            cases.append((sigma_map(normalize_reciprocal_sum([monomial, binomial])), S))
+        for _ in range(4):
+            num = random_poly(rng, polynomial=True, span=12)
+            cases.append((RationalFunction(num, random_nonzero_poly(rng, polynomial=True, span=12)), S))
+    verdicts = [decide_membership(r, S) for r, S in cases]
+    monkeypatch.setattr(membership, "solve_affine", fraction_solve_affine)
+    assert [decide_membership(r, S) for r, S in cases] == verdicts
+    nontrivial = [v for v in verdicts if v.is_member and len(v.certificate) > 1]
+    infeasible = [v for v in verdicts if v.obstruction == LINEAR_SYSTEM_INFEASIBLE]
+    assert len(nontrivial) >= 200 and len(infeasible) >= 20, (len(nontrivial), len(infeasible))
+    assert all(type(c) is Fraction for v in nontrivial for _, c in v.certificate.terms())
+    assert (101, 113, 127) in {S.generators for _, S in cases}
 
 
 def test_wide_system_stays_small():

@@ -1,10 +1,12 @@
 """Text grammar: round trips, error positions, variable modes."""
 
+import random
 import time
 from fractions import Fraction
 
 import pytest
 
+from recip import parse
 from recip.laurent import LaurentPolynomial, LimitExceeded, format_poly
 from recip.parse import (
     MAX_NESTING,
@@ -14,7 +16,7 @@ from recip.parse import (
     parse_ratfunc,
     parse_rational,
 )
-from recip.ratfunc import format_ratfunc
+from recip.ratfunc import RationalFunction, format_ratfunc
 
 
 def test_rationals_and_whitespace():
@@ -239,3 +241,26 @@ def test_sums_of_high_powers_are_refused_quickly():
         with pytest.raises(LimitExceeded, match="sum at position 12 "):
             parse_ratfunc(text)
         assert time.perf_counter() - start < 1.0, text
+
+
+def test_shapes_from_the_integer_form_match_the_polynomials():
+    # A rank-1 operand's shapes are read from its integer form p*f / (q*g);
+    # they must equal the ones read from the Fraction polynomials num and
+    # den, whose height is max |numerator| times max denominator.
+    rng = random.Random(11)
+    pool = [Fraction(n, d) for n in range(-12, 13) if n for d in (1, 2, 3, 4, 6, 9)]
+    pool += [10**12 + 7, Fraction(-(10**12), 7)]
+    checked = 0
+    for _ in range(3000):
+        num, den = (
+            LaurentPolynomial(1, {(e,): rng.choice(pool) for e in rng.sample(range(-4, 9), rng.randint(1, 4))})
+            for _ in range(2)
+        )
+        if rng.random() < 0.05:
+            num = LaurentPolynomial.zero(1)
+        r = RationalFunction(num, den)
+        shapes = parse._height_shapes(r)
+        assert r._num is None and r._den is None  # neither side was built
+        assert shapes == (parse._height_shape(r.num), parse._height_shape(r.den))
+        checked += shapes[0][1] > 1 and r._ints[1] > 1  # a height with a denominator
+    assert checked > 500

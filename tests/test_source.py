@@ -110,6 +110,23 @@ def test_no_generator_is_a_starred_argument():
     assert SOURCE.is_dir() and not found, found
 
 
+def test_no_tuple_is_built_from_a_generator():
+    # tuple(x for x in xs) builds its tuple at a guessed size and resizes
+    # it, so the tuple is freed to another size's free list; over many calls
+    # the free lists of every size fill with idle tuples.  A list has its
+    # size before the tuple is built.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SOURCE.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "tuple"
+        and any(isinstance(arg, ast.GeneratorExp) for arg in node.args)
+    ]
+    assert SOURCE.is_dir() and not found, found
+
+
 RE_IMPORT = """
 import gc, importlib, pkgutil, sys, weakref
 
