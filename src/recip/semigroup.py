@@ -27,6 +27,15 @@ s - m (m in S, 0 < m < s) with s + x below the conductor are the set bits
 of one Python int, the closure of {0} under each difference.
 The values s + x are closed under addition (the differences of s1 and of s2
 are differences of s1 + s2), so with 0 they are the members of S' there.
+
+S' is usually complete far below the conductor of S (<101,113,127> has
+conductor 1764, its S' has conductor 256), so the members are taken lowest
+first and each closes only below ``top``, one past the highest target that
+S' does not hold yet: a closure under positive steps takes its values below
+a bound only from values below it, and every target from ``top`` on is
+held already.  The members from ``top`` on add nothing.  When nothing can
+be pruned (S' = S, as for <2,9999>), every member closes up to the
+conductor.
 """
 
 from __future__ import annotations
@@ -67,7 +76,9 @@ class NumericalSemigroup:
         return f"<{', '.join(map(str, self.generators))}>"
 
 
-MAX_CONDUCTOR = 10_000  # derive_sprime takes about 0.06 s at this conductor (2-vCPU VM)
+# At this conductor derive_sprime takes about 0.05 s in its worst case, S' = S
+# (as for <2, 9999>), where no member's reach can be pruned (2-vCPU VM).
+MAX_CONDUCTOR = 10_000
 
 
 def _close(bits: int, step: int, size: int) -> int:
@@ -131,23 +142,30 @@ def derive_sprime(S: NumericalSemigroup) -> NumericalSemigroup:
     """The derived semigroup S' of S (see module docstring).
 
     S is contained in S' and both share the same smallest nonzero element.
+    Each member's reach is closed only up to the highest target that S'
+    does not hold yet, and the members above that target are skipped.
     """
     conductor = S.conductor
     # Bit conductor - 1 - n of the mirror says n is in S, so bit d of
     # mirror >> (conductor - 1 - s) says s - d is in S.
     mirror = int(f"{S.members:0{conductor}b}"[::-1], 2)
-    sprime = 0  # bit t says whether t < conductor is in S'
+    sprime = 0  # bit t says whether t < conductor is in S'; bits top to conductor - 1 are set
+    top = conductor
     members = S.members
     while members:  # each member s below the conductor, lowest first
         low = members & -members
         members ^= low
         s = low.bit_length() - 1
-        limit = conductor - s  # targets s + x with x < limit stay below the conductor
+        if top <= s:
+            break
+        limit = top - s  # only targets s + x below top can still be missing
         todo = mirror >> (conductor - 1 - s) & ((1 << min(s, limit)) - 1) & ~1  # differences d
         reach = 1
         while todo := todo & ~reach:  # a reach holding d is closed under d
             reach = _close(reach, (todo & -todo).bit_length() - 1, limit)
         sprime |= reach << s
+        if reach >> (limit - 1) & 1:  # S' now holds top - 1
+            top = (~sprime & ((1 << top) - 1)).bit_length()
     return _from_bits(sprime, conductor)
 
 

@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+from recip import semigroup
 from recip.semigroup import (
     MAX_CONDUCTOR,
     LimitExceeded,
@@ -140,6 +141,26 @@ def table_derive_sprime(gens):
                     step <<= 1
         sprime |= reach << s
     return table_invariants([bit == "1" for bit in reversed(f"{sprime:0{conductor}b}")])
+
+
+def unpruned_derive_sprime(S):
+    """S' by closing every member's reach up to the conductor of S, as
+    ``derive_sprime`` did before it tracked the targets still missing."""
+    conductor = S.conductor
+    mirror = int(f"{S.members:0{conductor}b}"[::-1], 2)
+    sprime = 0
+    members = S.members
+    while members:
+        low = members & -members
+        members ^= low
+        s = low.bit_length() - 1
+        limit = conductor - s
+        todo = mirror >> (conductor - 1 - s) & ((1 << min(s, limit)) - 1) & ~1
+        reach = 1
+        while todo := todo & ~reach:
+            reach = semigroup._close(reach, (todo & -todo).bit_length() - 1, limit)
+        sprime |= reach << s
+    return semigroup._from_bits(sprime, conductor)
 
 
 def fields(S):
@@ -316,10 +337,51 @@ def test_bitsets_match_table_oracles_near_the_conductor_limit(gens):
 
 
 def test_derive_sprime_near_the_conductor_limit_time_gate():
-    S = ns_create([100, 101])  # conductor 9900
-    start = time.perf_counter()
-    derive_sprime.__wrapped__(S)
-    assert time.perf_counter() - start < 0.5
+    # <100, 101> has conductor 9900 and S' holds every n >= 100; <2, 9999>
+    # has conductor 9998 and S' = S, so no member's reach can be pruned.
+    for gens in ([100, 101], [2, 9999]):
+        S = ns_create(gens)
+        start = time.perf_counter()
+        derive_sprime.__wrapped__(S)
+        assert time.perf_counter() - start < 0.5, gens
+
+
+def test_derive_sprime_matches_the_unpruned_closure():
+    rng = random.Random(16)
+    cases = [[m, m + 1, m + 2] for m in range(1, 100)] + [[3, 4999], [100, 101], [2, 9999]]
+    while len(cases) < 2200:
+        gens = [rng.randint(2, 50) for _ in range(rng.randint(1, 5))]
+        if math.gcd(*gens) == 1:
+            cases.append(gens)
+    for gens in cases:
+        S = ns_create(gens)
+        assert derive_sprime.__wrapped__(S) == unpruned_derive_sprime(S), gens
+
+
+@pytest.mark.parametrize(
+    "gens, most_calls, most_bits", [([101, 113, 127], 32, 20_000), ([43, 47, 53], 32, 5_000)]
+)
+def test_derive_sprime_closes_only_below_the_missing_targets(monkeypatch, gens, most_calls, most_bits):
+    # Closing every member's reach up to the conductor takes 1,229 and 394
+    # closures of 800,198 and 80,256 bits in all on these; S' is complete at
+    # 256 and 93.  The stub keeps _from_bits's own closures (one per
+    # generator of S') out of the count.
+    S = ns_create(gens)
+    expected = derive_sprime(S)
+    close, from_bits = semigroup._close, semigroup._from_bits
+    calls = []
+
+    def counted_close(bits, step, size):
+        calls.append(size)
+        return close(bits, step, size)
+
+    monkeypatch.setattr(semigroup, "_close", counted_close)
+    monkeypatch.setattr(semigroup, "_from_bits", lambda bits, size: (bits, size))
+    bits, size = derive_sprime.__wrapped__(S)
+    monkeypatch.undo()
+    assert len(calls) <= most_calls
+    assert sum(calls) <= most_bits
+    assert from_bits(bits, size) == expected
 
 
 def test_conductor_limit():
