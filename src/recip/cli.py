@@ -26,7 +26,7 @@ from .dimension import (
 )
 from .dplusm import kplusm_membership
 from .egyptian import greedy_egyptian
-from .laurent import format_poly
+from .laurent import check_rank, format_poly
 from .membership import (
     brute_force_witness,
     decide_membership,
@@ -118,6 +118,7 @@ def _cmd_thm56(args) -> dict:
 
 
 def _kplusm_names(n: int) -> tuple[str, ...]:
+    check_rank(n)
     if n == 2:
         return ("Y", "X")
     return ("Y",) + tuple([f"X{i}" for i in range(2, n + 1)])

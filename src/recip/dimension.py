@@ -39,7 +39,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .laurent import LimitExceeded
+from .laurent import LimitExceeded, check_rank
 from .linsolve import Constraint, fm_witness
 from .semigroup import NumericalSemigroup
 
@@ -78,6 +78,7 @@ class LexMonoid:
     families: tuple[ShiftFamily, ...] = ()
 
     def __post_init__(self):
+        check_rank(self.rank)
         zero = (0,) * self.rank
         for g in self.generators:
             if len(g) != self.rank:

@@ -1,8 +1,9 @@
 """Sparse Laurent polynomials over Q with exponent vectors in Z^N.
 
-Exponent vectors are plain int tuples.  Python compares tuples
-lexicographically (first differing coordinate decides), which is exactly the
-monomial order used everywhere in this package, so no wrapper type is needed.
+The exponent vectors of a ``LaurentPolynomial`` are plain int tuples.  Python
+compares tuples lexicographically (first differing coordinate decides),
+which is exactly the monomial order used everywhere in this package, so no
+wrapper type is needed.
 Coefficients are ``fractions.Fraction``; all arithmetic is exact.
 
 Instances are immutable by convention: every operation returns a fresh
@@ -11,18 +12,20 @@ polynomial (or the same one, when scaling by 1) and nothing mutates
 lexicographic order, so formatting and downstream computations are
 reproducible.
 
-Rank-1 arithmetic that must stay in lowest terms runs over Z.  A rank-1
-polynomial over Z is a sparse map {degree: int}; ``int_form`` turns a
-polynomial into one (with a common denominator), ``int_product_sum``
-multiplies and adds them, ``int_power`` raises one to a power, and
-``from_int_form`` builds the Fractions back.
-Their gcd, ``int_gcd``, is the heuristic gcd of Char, Geddes and Gonnet
-(one integer gcd of two values, read back in base xi and checked by exact
-division, which also gives the cofactors); it answers almost every call,
-and Euclid's algorithm over Q is the fallback when it gives up.  The gcd
-builds dense coefficient lists only after its ``MAX_DEGREE`` check, and
-only to divide by a candidate; ``poly_gcd`` is the same gcd on
-``LaurentPolynomial``s.
+Rational-function arithmetic runs over Z, in every rank.  A polynomial over
+Z is a sparse map {exponent: int}: the exponent is a plain int in rank 1 and
+a ``Vector`` (an int tuple that adds and subtracts by coordinates) above.
+``int_form`` turns a polynomial into one (with a common denominator),
+``int_product_sum`` multiplies and adds them, ``int_power`` raises one to a
+power, ``exponent_corner`` reads the coordinatewise least or greatest
+exponent, and ``from_int_form`` builds the Fractions back.
+Their gcd, ``int_gcd``, takes rank-1 maps only.  It is the heuristic gcd of
+Char, Geddes and Gonnet (one integer gcd of two values, read back in base
+xi and checked by exact division, which also gives the cofactors); it
+answers almost every call, and Euclid's algorithm over Q is the fallback
+when it gives up.  The gcd builds dense coefficient lists only after its
+``MAX_DEGREE`` check, and only to divide by a candidate; ``poly_gcd`` is
+the same gcd on ``LaurentPolynomial``s.
 """
 
 from __future__ import annotations
@@ -43,9 +46,22 @@ _ZERO = Fraction(0)
 # quadratically in the degree.
 MAX_DEGREE = 30_000
 
+# The rank of a parsed expression, of kplusm's variables and of a lex
+# monoid.  Every exponent vector holds one int per coordinate, so a rank of
+# 10^9 ran out of memory before the first term was built.  At this limit, `valuation`,
+# `kplusm` and `dimension` answer inputs of a few terms in under 0.03 s
+# (2-vCPU VM); the work grows with the terms times the rank.
+MAX_RANK = 1_000
+
 
 class LimitExceeded(ValueError):
     """The input describes an object beyond a declared size limit."""
+
+
+def check_rank(rank: int) -> None:
+    """Raise LimitExceeded for a rank above ``MAX_RANK``."""
+    if rank > MAX_RANK:
+        raise LimitExceeded(f"rank {rank} exceeds the limit {MAX_RANK}")
 
 
 def as_fraction(value: Scalar) -> Fraction:
@@ -429,33 +445,60 @@ def poly_divmod(a: LaurentPolynomial, b: LaurentPolynomial) -> tuple[LaurentPoly
     return from_dense(q), from_dense(r)
 
 
-# -- rank-1 integer polynomials --------------------------------------------
+# -- integer polynomials -----------------------------------------------------
 #
-# A rank-1 polynomial over Z is a sparse map {degree: nonzero int}.  Rank-1
-# rational functions are held, added, multiplied and reduced as these maps,
-# and the gcd takes them; Fractions are built only by from_int_form.
+# A polynomial over Z is a sparse map {exponent: nonzero int}, with an int
+# exponent in rank 1 and a Vector above.  Rational functions of every rank
+# are held, added, multiplied and normalised as these maps, and the rank-1
+# gcd takes them; Fractions are built only by from_int_form.
 
 
-def int_form(poly: LaurentPolynomial) -> tuple[int, dict[int, int]]:
-    """(d, f) with poly = f / d for a rank-1 polynomial: d is the positive
-    lcm of the coefficient denominators and f maps each degree to an int."""
-    poly._require_rank1()
+class Vector(tuple):
+    """An exponent vector of rank > 1 in an int map.  Like an int exponent,
+    it adds and subtracts (by coordinates) and is false only when zero;
+    it compares lexicographically, as a tuple."""
+
+    __slots__ = ()
+
+    def __add__(self, other: "Vector") -> "Vector":
+        return Vector([a + b for a, b in zip(self, other)])
+
+    def __sub__(self, other: "Vector") -> "Vector":
+        return Vector([a - b for a, b in zip(self, other)])
+
+    def __bool__(self) -> bool:
+        return any(self)
+
+
+def int_form(poly: LaurentPolynomial) -> tuple[int, dict]:
+    """(d, f) with poly = f / d: d is the positive lcm of the coefficient
+    denominators and f maps each exponent to an int."""
     terms = poly._terms
     d = math.lcm(*[c.denominator for c in terms.values()])
-    return d, {e: c.numerator * (d // c.denominator) for (e,), c in terms.items()}
+    if poly.rank == 1:
+        return d, {e: c.numerator * (d // c.denominator) for (e,), c in terms.items()}
+    return d, {Vector(e): c.numerator * (d // c.denominator) for e, c in terms.items()}
 
 
-def from_int_form(f: Mapping[int, int], p: int = 1, q: int = 1) -> LaurentPolynomial:
-    """The rank-1 polynomial (p/q) * f, for an int map f with no zero values
-    and a nonzero p and positive q."""
+def from_int_form(f: Mapping, p: int = 1, q: int = 1, rank: int = 1) -> LaurentPolynomial:
+    """The polynomial (p/q) * f of the given rank, for an int map f with no
+    zero values and a nonzero p and positive q."""
+    keys = [(e,) for e in f] if rank == 1 else [tuple(e) for e in f]
     if q == 1:
-        return LaurentPolynomial._raw(1, {(e,): Fraction(p * c) for e, c in f.items()})
-    return LaurentPolynomial._raw(1, {(e,): Fraction(p * c, q) for e, c in f.items()})
+        return LaurentPolynomial._raw(rank, {k: Fraction(p * c) for k, c in zip(keys, f.values())})
+    return LaurentPolynomial._raw(rank, {k: Fraction(p * c, q) for k, c in zip(keys, f.values())})
 
 
-def int_primitive(f: dict[int, int]) -> tuple[int, dict[int, int]]:
+def exponent_corner(pick, f: Mapping, g: Mapping):
+    """The coordinatewise least (pick = min) or greatest (pick = max)
+    exponent of two nonzero int maps of one rank."""
+    e = pick(pick(f), pick(g))
+    return e if type(e) is int else Vector([pick(column) for column in zip(*f, *g)])
+
+
+def int_primitive(f: dict) -> tuple[int, dict]:
     """(c, f / c) for a nonzero int map f, where c is the gcd of its values
-    signed like its leading coefficient."""
+    signed like its leading (lex-max) coefficient."""
     content = math.gcd(*f.values())
     if f[max(f)] < 0:
         content = -content
@@ -464,11 +507,9 @@ def int_primitive(f: dict[int, int]) -> tuple[int, dict[int, int]]:
     return content, {e: c // content for e, c in f.items()}
 
 
-def int_product_sum(
-    products: Iterable[tuple[int, Mapping[int, int], Mapping[int, int]]]
-) -> dict[int, int]:
+def int_product_sum(products: Iterable[tuple[int, Mapping, Mapping]]) -> dict:
     """The sum of k * f * g over the (k, f, g) given, as an int map."""
-    total: dict[int, int] = {}
+    total: dict = {}
     for k, f, g in products:
         for e1, c1 in f.items():
             c1 *= k
@@ -478,15 +519,14 @@ def int_product_sum(
     return {e: c for e, c in total.items() if c}
 
 
-def int_power(f: Mapping[int, int], k: int) -> dict[int, int]:
-    """f**k for an int map f and an int k >= 0, by repeated squaring."""
-    result = {0: 1}
-    while k:
-        if k & 1:
+def int_power(f: Mapping, k: int) -> dict:
+    """f**k for an int map f and an int k >= 1, by repeated squaring from
+    the highest bit of k, so that each multiplication is by f itself."""
+    result = f
+    for bit in bin(k)[3:]:
+        result = int_product_sum([(1, result, result)])
+        if bit == "1":
             result = int_product_sum([(1, result, f)])
-        k >>= 1
-        if k:
-            f = int_product_sum([(1, f, f)])
     return result
 
 
@@ -505,6 +545,7 @@ def poly_gcd(a: LaurentPolynomial, b: LaurentPolynomial) -> LaurentPolynomial:
 
 def _gcd_input(poly: LaurentPolynomial) -> dict[int, int]:
     """The primitive int map of a rank-1 polynomial, checked as the gcd's input."""
+    poly._require_rank1()
     _, f = int_form(poly)
     if not f:
         return f

@@ -30,7 +30,7 @@ import re
 from fractions import Fraction
 from typing import NamedTuple
 
-from .laurent import LaurentPolynomial, LimitExceeded
+from .laurent import LaurentPolynomial, LimitExceeded, check_rank
 from .ratfunc import RationalFunction
 
 
@@ -104,6 +104,7 @@ class _Parser:
     def __init__(self, text: str, rank: int, names: tuple[str, ...]):
         if rank < 1:
             raise ValueError("rank must be positive")
+        check_rank(rank)
         names = tuple(names)
         self.vector_mode = len(names) == 1 and rank > 1
         if not self.vector_mode and len(names) != rank:

@@ -1,34 +1,32 @@
 """Exact rational functions of Laurent polynomials, reciprocal sums, and the
 exponent-negation automorphism.
 
-Every fraction leaves ``RationalFunction`` with the common monomial taken
-out and the denominator scaled to coprime integer coefficients with a
-positive leading (lex-max) coefficient.  A rank-1 fraction is also reduced
-to lowest terms, so it has exactly one such form.
+A fraction of every rank is held as one integer form, the tuple
+(p, q, f, g) with value p*f / (q*g), beside its rank: q > 0 and
+gcd(p, q) = 1, f and g are primitive sparse int maps {exponent:
+coefficient} with positive leading (lex-max) coefficients, and their
+coordinatewise least exponent is 0; zero is (0, 1, {}, {0: 1}), with the
+zero exponent of its rank.  Exponents are ints in rank 1 and
+``laurent.Vector``s above, so one body of code serves every rank.
 
-A rank-1 fraction is held as that one form over Z, the tuple (p, q, f, g)
-with value p*f / (q*g): q > 0 and gcd(p, q) = 1, f and g are primitive
-sparse int maps {degree: coefficient} with positive leading coefficients,
-and min(min f, min g) = 0; zero is (0, 1, {}, {0: 1}).  The constructor,
-``+`` and ``*`` end in one normaliser, ``_normal_form``: it takes out the
-common X-power, makes both sides primitive, and runs the gcd
-``laurent.int_gcd`` only when both sides still have two or more terms (a
-one-term side X^k has no common factor with a side that X does not
-divide).  Negation, ``inverse``, integer powers (``laurent.int_power``)
-and ``sigma_map`` rewrite the tuple directly.  The Fraction polynomials
-``num`` = (p/q)*f and ``den`` = g are built from it only when they are
-first read, and then kept; equality, ``is_zero`` and ``constant_value``
-read the tuple.
+The constructor, ``+`` and ``*`` end in one normaliser, ``_normal_form``:
+it takes out the common monomial, makes both sides primitive and, in rank
+1 only, divides out the gcd ``laurent.int_gcd`` when both sides still have
+two or more terms (a one-term side X^k has no common factor with a side
+that X does not divide).  Multivariate gcd is out of scope, so a form of
+rank > 1 may keep a common factor, and its value then has more than one
+form.  The Fraction polynomials ``num`` = (p/q)*f and ``den`` = g are built
+from the form only when they are first read, and then kept.
 
-Negation, ``inverse``, integer powers and ``sigma_map`` start from a reduced
-pair and call no gcd: the units of the Laurent ring are the monomials, and
-these maps keep a coprime pair coprime, so taking out the monomial and
-rescaling is enough.  A rank-1 ``sigma_map`` is less still: reversing the
-exponents by the larger degree leaves no common monomial and the
-coefficients, so only the signs of the new leading coefficients move into p.
-Higher ranks hold the pair (num, den) itself, and their constructor takes
-out the monomial and rescales but runs no gcd (multivariate gcd is out of
-scope); their equality is decided by cross-multiplication.
+Negation, ``inverse``, integer powers (``laurent.int_power``) and
+``sigma_map`` rewrite the form and call no gcd: the units of the Laurent
+ring are the monomials, and these maps keep a coprime pair coprime and a
+primitive side primitive.  ``sigma_map`` reverses the exponents by their
+coordinatewise greatest one, which leaves no common monomial and the
+coefficients, so only the signs of the new leading coefficients move into
+p.  Equality reads the forms: p/q must agree, because the products f*g'
+and f'*g are primitive with positive leading coefficients, and then
+f*g' = f'*g must hold, which in rank 1 happens only for equal forms.
 """
 
 from __future__ import annotations
@@ -42,6 +40,7 @@ from .laurent import (
     LaurentPolynomial,
     Scalar,
     as_fraction,
+    exponent_corner,
     format_poly,
     from_int_form,
     int_form,
@@ -51,17 +50,14 @@ from .laurent import (
     int_product_sum,
 )
 
-IntForm = tuple[int, int, dict[int, int], dict[int, int]]
-
-_ZERO_FORM: IntForm = (0, 1, {}, {0: 1})
+IntForm = tuple[int, int, dict, dict]
 
 
 class RationalFunction:
     """A quotient num/den of Laurent polynomials with den != 0."""
 
-    # Rank 1 holds _ints and builds _num and _den on first read; a higher
-    # rank holds _num and _den, and _ints is None.
-    __slots__ = ("_ints", "_num", "_den")
+    # _ints is the integer form; _num and _den are built on first read.
+    __slots__ = ("_ints", "rank", "_num", "_den")
 
     def __init__(
         self,
@@ -81,18 +77,15 @@ class RationalFunction:
             raise ValueError("numerator and denominator rank mismatch")
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        if num.rank == 1:
-            (n, f), (d, g) = int_form(num), int_form(den)
-            self._ints, self._num, self._den = _normal_form(d, n, f, g), None, None
-        else:
-            self._ints = None
-            self._num, self._den = _primitive(*_extract_common_monomial(num, den))
+        (n, f), (d, g) = int_form(num), int_form(den)
+        self._ints = _normal_form(d, n, f, g, num.rank)
+        self.rank, self._num, self._den = num.rank, None, None
 
     @classmethod
-    def _from_ints(cls, ints: IntForm) -> "RationalFunction":
-        """The rank-1 fraction with the integer form ints."""
+    def _from_ints(cls, ints: IntForm, rank: int) -> "RationalFunction":
+        """The fraction of the given rank with the integer form ints."""
         r = object.__new__(cls)
-        r._ints, r._num, r._den = ints, None, None
+        r._ints, r.rank, r._num, r._den = ints, rank, None, None
         return r
 
     # -- constructors ---------------------------------------------------
@@ -113,32 +106,24 @@ class RationalFunction:
 
     @property
     def num(self) -> LaurentPolynomial:
-        """The numerator; in rank 1, (p/q)*f, built when first read."""
+        """The numerator (p/q)*f, built when first read."""
         if self._num is None:
             p, q, f, _ = self._ints
-            self._num = from_int_form(f, p, q)
+            self._num = from_int_form(f, p, q, self.rank)
         return self._num
 
     @property
     def den(self) -> LaurentPolynomial:
-        """The denominator; in rank 1, g, built when first read."""
+        """The denominator g, built when first read."""
         if self._den is None:
-            self._den = from_int_form(self._ints[3])
+            self._den = from_int_form(self._ints[3], rank=self.rank)
         return self._den
 
-    @property
-    def rank(self) -> int:
-        return 1 if self._ints is not None else self._num.rank
-
     def is_zero(self) -> bool:
-        if self._ints is not None:
-            return not self._ints[0]
-        return self._num.is_zero()
+        return not self._ints[0]
 
     def constant_value(self) -> Fraction | None:
         """The value as a Fraction if the function is a constant, else None."""
-        if self._ints is None:
-            return self._num.ratio(self._den)
         # f and g are primitive with positive leading coefficients, so
         # p*f/(q*g) is constant exactly when f = g or p = 0.
         p, q, f, g = self._ints
@@ -161,23 +146,17 @@ class RationalFunction:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if self._ints is not None:
-            p1, q1, a, b = self._ints
-            p2, q2, c, d = other._ints
-            num = int_product_sum([(p1 * q2, a, d), (p2 * q1, c, b)])
-            den = int_product_sum([(1, b, d)])
-            return RationalFunction._from_ints(_normal_form(1, q1 * q2, num, den))
-        return RationalFunction(
-            self._num * other._den + other._num * self._den, self._den * other._den
-        )
+        p1, q1, a, b = self._ints
+        p2, q2, c, d = other._ints
+        num = int_product_sum([(p1 * q2, a, d), (p2 * q1, c, b)])
+        den = int_product_sum([(1, b, d)])
+        return RationalFunction._from_ints(_normal_form(1, q1 * q2, num, den, self.rank), self.rank)
 
     __radd__ = __add__
 
     def __neg__(self) -> "RationalFunction":
-        if self._ints is not None:
-            p, q, f, g = self._ints
-            return RationalFunction._from_ints((-p, q, f, g))
-        return RationalFunction(-self._num, self._den)
+        p, q, f, g = self._ints
+        return RationalFunction._from_ints((-p, q, f, g), self.rank)
 
     def __sub__(self, other) -> "RationalFunction":
         other = self._coerce(other)
@@ -195,23 +174,19 @@ class RationalFunction:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if self._ints is not None:
-            p1, q1, a, b = self._ints
-            p2, q2, c, d = other._ints
-            num = int_product_sum([(1, a, c)])
-            den = int_product_sum([(1, b, d)])
-            return RationalFunction._from_ints(_normal_form(p1 * p2, q1 * q2, num, den))
-        return RationalFunction(self._num * other._num, self._den * other._den)
+        p1, q1, a, b = self._ints
+        p2, q2, c, d = other._ints
+        num = int_product_sum([(1, a, c)])
+        den = int_product_sum([(1, b, d)])
+        return RationalFunction._from_ints(_normal_form(p1 * p2, q1 * q2, num, den, self.rank), self.rank)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "RationalFunction":
         if self.is_zero():
             raise ZeroDivisionError("zero has no inverse")
-        if self._ints is not None:
-            p, q, f, g = self._ints
-            return RationalFunction._from_ints((q if p > 0 else -q, abs(p), g, f))
-        return RationalFunction(self._den, self._num)
+        p, q, f, g = self._ints
+        return RationalFunction._from_ints((q if p > 0 else -q, abs(p), g, f), self.rank)
 
     def __truediv__(self, other) -> "RationalFunction":
         other = self._coerce(other)
@@ -230,12 +205,12 @@ class RationalFunction:
             raise ValueError("rational function powers must be integers")
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        if self._ints is not None:
-            p, q, f, g = self._ints
-            return RationalFunction._from_ints(
-                (p**exponent, q**exponent, int_power(f, exponent), int_power(g, exponent))
-            )
-        return RationalFunction(self._num**exponent, self._den**exponent)
+        if not exponent:
+            return RationalFunction.one(self.rank)
+        p, q, f, g = self._ints
+        return RationalFunction._from_ints(
+            (p**exponent, q**exponent, int_power(f, exponent), int_power(g, exponent)), self.rank
+        )
 
     # -- comparisons --------------------------------------------------------
 
@@ -243,11 +218,13 @@ class RationalFunction:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if self._ints is not None:
-            return self._ints == other._ints
-        return self._num * other._den == other._num * self._den
+        p1, q1, a, b = self._ints
+        p2, q2, c, d = other._ints
+        if p1 != p2 or q1 != q2:
+            return False
+        return a == c and b == d or int_product_sum([(1, a, d)]) == int_product_sum([(1, c, b)])
 
-    __hash__ = None  # not canonical in rank > 1
+    __hash__ = None  # a value of rank > 1 has more than one form
 
     def __str__(self) -> str:
         return format_ratfunc(self)
@@ -256,23 +233,24 @@ class RationalFunction:
         return f"RationalFunction({str(self)!r})"
 
 
-def _normal_form(p: int, q: int, f: dict[int, int], g: dict[int, int]) -> IntForm:
+def _normal_form(p: int, q: int, f: dict, g: dict, rank: int) -> IntForm:
     """The integer form of p*f / (q*g), for nonzero ints p, q and int maps
-    f and g != 0 of rank-1 polynomials.
+    f and g != 0 of the given rank.
 
-    The common X-power comes out, both sides become primitive with positive
-    leading coefficients, the gcd of two sides with two or more terms each
-    is divided out, and the signs and contents move into p/q.
+    The common monomial comes out, both sides become primitive with
+    positive leading coefficients, in rank 1 the gcd of two sides with two
+    or more terms each is divided out, and the signs and contents move into
+    p/q.
     """
     if not f:
-        return _ZERO_FORM
-    low = min(min(f), min(g))
+        return 0, 1, {}, int_form(LaurentPolynomial.one(rank))[1]
+    low = exponent_corner(min, f, g)
     if low:
         f = {e - low: c for e, c in f.items()}
         g = {e - low: c for e, c in g.items()}
     f_content, f = int_primitive(f)
     g_content, g = int_primitive(g)
-    if len(f) > 1 and len(g) > 1:
+    if rank == 1 and len(f) > 1 and len(g) > 1:
         _, f, g = int_gcd(f, g)
     p *= f_content
     q *= g_content
@@ -280,33 +258,6 @@ def _normal_form(p: int, q: int, f: dict[int, int], g: dict[int, int]) -> IntFor
     if q < 0:
         common = -common
     return p // common, q // common, f, g
-
-
-def _extract_common_monomial(
-    num: LaurentPolynomial, den: LaurentPolynomial
-) -> tuple[LaurentPolynomial, LaurentPolynomial]:
-    """Divide num and den by the largest monomial dividing both.
-
-    Afterwards all exponents are componentwise nonnegative and for each pair
-    of coordinatewise minima at least one is zero.  A zero numerator gets
-    denominator 1.
-    """
-    if num.is_zero():
-        return num, LaurentPolynomial.one(num.rank)
-    common = tuple([-min(column) for column in zip(*num.support(), *den.support())])
-    if any(common):
-        num = num.shift(common)
-        den = den.shift(common)
-    return num, den
-
-
-def _primitive(
-    num: LaurentPolynomial, den: LaurentPolynomial
-) -> tuple[LaurentPolynomial, LaurentPolynomial]:
-    """Scale both sides so that den has coprime integer coefficients and a
-    positive lex-max coefficient."""
-    scale = 1 / den.signed_content()
-    return num.scale(scale), den.scale(scale)
 
 
 def format_ratfunc(r: RationalFunction, names: tuple[str, ...] = ("X",)) -> str:
@@ -368,25 +319,25 @@ def normalize_reciprocal_sum(
 def sigma_map(r: RationalFunction) -> RationalFunction:
     """The field automorphism sending X^g to X^-g, applied term by term.
 
-    In rank 1, f and g are polynomials not both divisible by X, so
-    X^m f(1/X) / X^m g(1/X), m the larger degree, is again such a coprime
-    pair with the same coefficients; each new leading coefficient is the
-    old lowest one, and its sign moves into p.
+    f and g are polynomials whose exponents have coordinatewise least 0, so
+    X^m f(1/X) / X^m g(1/X), m their coordinatewise greatest exponent, is
+    again such a pair with the same coefficients, coprime when f and g are;
+    each new leading coefficient is the old lowest (lex-min) one, and its
+    sign moves into p.
     """
-    if r._ints is None:
-        return RationalFunction(r.num.sigma(), r.den.sigma())
     p, q, f, g = r._ints
     if not p:
         return r
-    m = max(max(f), max(g))
+    m = exponent_corner(max, f, g)
     f_sign, f = _reversal(f, m)
     g_sign, g = _reversal(g, m)
-    return RationalFunction._from_ints((f_sign * g_sign * p, q, f, g))
+    return RationalFunction._from_ints((f_sign * g_sign * p, q, f, g), r.rank)
 
 
-def _reversal(f: dict[int, int], m: int) -> tuple[int, dict[int, int]]:
-    """(s, s * X^m f(1/X)) for a nonzero int map f of degree at most m, with
-    the sign s that makes the new leading coefficient positive."""
+def _reversal(f: dict, m) -> tuple[int, dict]:
+    """(s, s * X^m f(1/X)) for a nonzero int map f with exponents at most m
+    coordinatewise, with the sign s that makes the new leading coefficient
+    positive."""
     if f[min(f)] > 0:
         return 1, {m - e: c for e, c in f.items()}
     return -1, {m - e: -c for e, c in f.items()}

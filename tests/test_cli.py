@@ -2,8 +2,12 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 from recip.cli import main
 
@@ -291,6 +295,38 @@ def test_thm56_rank_limit_exits_two_quickly():
         assert time.perf_counter() - start < 1.0, n
         assert (code, out) == (2, ""), n
         assert err.startswith("error: free-shift rank ") and "limit 100" in err and err.count("\n") == 1, n
+
+
+RANK_LIMIT_CHILD = """
+import resource, sys
+cap = 1536 * 2**20  # a missing check then ends in MemoryError, not in swap
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+from recip.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_rank_limit_exits_two_quickly():
+    # Each ran out of memory before the limit: an exponent vector holds one
+    # int per coordinate, and kplusm also names every coordinate.
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    for argv, rank in (
+        (("valuation", "--rank", "1000000000", "--expr", "1"), 1000000000),
+        (("valuation", "--rank", "10000000", "--expr", "1"), 10000000),
+        (("kplusm", "--n", "1000000000", "--expr", "1"), 1000000000),
+        (("dimension", "--monoid", '{"rank":1000000000,"generators":[],"families":[]}'), 1000000000),
+        (("kplusm", "--n", "1001", "--expr", "1"), 1001),
+    ):
+        start = time.perf_counter()
+        result = subprocess.run(
+            [sys.executable, "-c", RANK_LIMIT_CHILD, *argv], capture_output=True, text=True, env=env
+        )
+        assert time.perf_counter() - start < 5.0, argv
+        assert (result.returncode, result.stdout) == (2, ""), (argv, result.stderr)
+        assert result.stderr == f"error: rank {rank} exceeds the limit 1000\n", argv
+    assert run_json("valuation", "--rank", "1000", "--expr", "1")["valuation"] == [0] * 1000
+    assert run_json("kplusm", "--n", "1000", "--expr", "1")["constantPart"] == "1"
+    assert run_json("dimension", "--monoid", '{"rank":1000,"generators":[],"families":[]}')["t"] == 1000
 
 
 def test_kplusm():

@@ -12,6 +12,7 @@ from recip.laurent import (
     MAX_DEGREE,
     LaurentPolynomial,
     LimitExceeded,
+    Vector,
     _dense_divmod,
     dense_coeffs,
     format_poly,
@@ -364,6 +365,12 @@ def test_int_form_round_trip():
     assert from_int_form(f, 1, d) == p
     assert from_int_form(f, -2, 3) == p.scale(-4)
     assert int_form(LaurentPolynomial.zero(1)) == (1, {})
+    q = parse_poly("1/2*X^(-3,1) - 2/3 + 5*X^(0,4)", rank=2)
+    d, f = int_form(q)
+    assert (d, f) == (6, {(-3, 1): 3, (0, 0): -4, (0, 4): 30})
+    assert all(type(e) is Vector for e in f)
+    assert from_int_form(f, 1, d, 2) == q
+    assert all(type(e) is tuple for e in from_int_form(f, 1, d, 2).support())
 
 
 def test_int_power_matches_the_polynomial_power():
@@ -371,9 +378,13 @@ def test_int_power_matches_the_polynomial_power():
     for _ in range(60):
         p = random_poly(rng, 1, span=4)
         d, f = int_form(p)
-        k = rng.randint(0, 9)
+        k = rng.randint(1, 9)
         assert from_int_form(int_power(f, k), 1, d**k) == p**k, (p, k)
-    assert int_power({}, 0) == {0: 1} and int_power({}, 3) == {}
+    # k = 0 has no map of its own: the constant 1 has an exponent of the
+    # rank, which an int map does not carry.  RationalFunction handles it.
+    assert int_power({}, 3) == {}
+    x, y = Vector((1, 0)), Vector((0, -1))
+    assert int_power({x: 1, y: 2}, 2) == {x + x: 1, x + y: 4, y + y: 4}
     assert int_power({0: 1, 1: 1}, 723)[361] == math.comb(723, 361)
 
 

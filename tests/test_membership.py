@@ -390,7 +390,7 @@ def unreduced(num, den):
     if num.is_zero():
         return RationalFunction.zero(1)
     (n, f), (d, g) = int_form(num), int_form(den)
-    return RationalFunction._from_ints((d, n, f, g))
+    return RationalFunction._from_ints((d, n, f, g), 1)
 
 
 def test_single_denominator_of_an_unreduced_fraction():

@@ -571,31 +571,194 @@ def test_lazy_num_den_match_the_eager_path():
         assert (r.num, r.den) == x
 
 
-def test_rank1_paths_build_no_fraction_polynomials(monkeypatch):
-    # The arithmetic, sigma, the membership decision and inspection read the
-    # integer form; from_int_form is ratfunc's only way to num and den.
+def test_paths_build_no_fraction_polynomials_in_every_rank(monkeypatch):
+    # The arithmetic, sigma, equality, inspection and, in rank 1, the
+    # membership decision read the integer form; from_int_form is ratfunc's
+    # only way to num and den.
     S = ns_create([4, 7, 9])
-    values = [value for value, _ in _lazy_and_eager(_differential_pairs(97, 80))]
-    one = RationalFunction.one(1)
+    by_rank = {1: [value for value, _ in _lazy_and_eager(_differential_pairs(97, 80))]}
+    for num, den in _multivariate_pairs(101, 160):
+        by_rank.setdefault(num.rank, []).append(RationalFunction(num, den))
 
-    def forbidden(*args):
+    def forbidden(*args, **kwargs):
         raise AssertionError("num or den built")
 
     monkeypatch.setattr(ratfunc, "from_int_form", forbidden)
     decided = 0
-    for r, s in zip(values, values[1:] + values[:1]):
-        for value in (r + s, r * s, r - s, -r, sigma_map(r), r**2):
-            decided += decide_membership(value, S).is_member
-            in_reciprocal_complement(value, S)
-            assert value.rank == 1
-            value.is_zero()
-            value.constant_value()
-            assert value == value and (value == one) == (value.constant_value() == 1)
-        if not s.is_zero():
-            decide_membership(r / s, S)
-            s.inverse()
-    assert 0 < decided < 6 * len(values)
-    assert all(value._num is None and value._den is None for value in values)
+    for rank, values in by_rank.items():
+        one = RationalFunction.one(rank)
+        for r, s in zip(values, values[1:] + values[:1]):
+            for value in (r + s, r * s, r - s, -r, sigma_map(r), r**2, r**0):
+                if rank == 1:
+                    decided += decide_membership(value, S).is_member
+                    in_reciprocal_complement(value, S)
+                assert value.rank == rank
+                value.is_zero()
+                value.constant_value()
+                assert value == value and (value == one) == (value.constant_value() == 1)
+                assert (value == r) == (value - r).is_zero()
+            if not s.is_zero():
+                if rank == 1:
+                    decide_membership(r / s, S)
+                s.inverse()
+                s**-3
+    assert 0 < decided < 7 * len(by_rank[1])
+    assert sorted(by_rank) == [1, 2, 3] and min(map(len, by_rank.values())) > 60
+    assert all(value._num is None and value._den is None for values in by_rank.values() for value in values)
+
+
+# -- rank > 1 against the Fraction pair ----------------------------------------
+#
+# A copy of the rank > 1 path as it ran before every rank held the integer
+# form: a (num, den) pair of Fraction polynomials, with the common monomial
+# taken out and den scaled to coprime integers with a positive leading
+# coefficient, and no gcd; equality by cross-multiplication.
+
+
+def _extract_common_monomial(num, den):
+    if num.is_zero():
+        return num, LaurentPolynomial.one(num.rank)
+    common = tuple([-min(column) for column in zip(*num.support(), *den.support())])
+    if any(common):
+        num, den = num.shift(common), den.shift(common)
+    return num, den
+
+
+def _primitive(num, den):
+    scale = 1 / den.signed_content()
+    return num.scale(scale), den.scale(scale)
+
+
+def fraction_pair(num, den):
+    """The (num, den) that the Fraction constructor gave in rank > 1."""
+    return _primitive(*_extract_common_monomial(num, den))
+
+
+def _pair_add(x, y):
+    return fraction_pair(x[0] * y[1] + y[0] * x[1], x[1] * y[1])
+
+
+def _pair_mul(x, y):
+    return fraction_pair(x[0] * y[0], x[1] * y[1])
+
+
+def _pair_neg(x):
+    return fraction_pair(-x[0], x[1])
+
+
+def _pair_inverse(x):
+    return fraction_pair(x[1], x[0])
+
+
+def _pair_pow(x, e):
+    if e < 0:
+        return _pair_pow(_pair_inverse(x), -e)
+    return fraction_pair(x[0] ** e, x[1] ** e)
+
+
+def _pair_sigma(x):
+    return fraction_pair(x[0].sigma(), x[1].sigma())
+
+
+def _pair_eq(x, y):
+    return x[0] * y[1] == y[0] * x[1]
+
+
+def _multivariate_poly(rng, rank):
+    """A seeded polynomial of the rank: zero, a constant, one term or up to
+    five; exponents from -3 to 4 per coordinate; coefficients small
+    integers, +-1/2 or non-primitive multiples."""
+    kind = rng.random()
+    if kind < 0.05:
+        return LaurentPolynomial.zero(rank)
+    if kind < 0.15:
+        return LaurentPolynomial.constant(rank, rng.choice(COEFFS + list(HALVES)))
+    terms = 1 if kind < 0.35 else rng.randint(2, 5)
+    scale = rng.choice((1, 1, 2, -3, 6, Fraction(1, 2), Fraction(-1, 2)))
+    return LaurentPolynomial(rank, {
+        tuple([rng.randint(-3, 4) for _ in range(rank)]): scale * rng.choice(COEFFS + list(HALVES))
+        for _ in range(terms)
+    })
+
+
+def _multivariate_pairs(seed, count):
+    """Seeded (num, den) pairs of ranks 2 and 3, den != 0; every third pair
+    shares a planted common factor, which no gcd takes out."""
+    rng = random.Random(seed)
+    for k in range(count):
+        rank = rng.choice((2, 3))
+        num, den = _multivariate_poly(rng, rank), _multivariate_poly(rng, rank)
+        if den.is_zero():
+            den = LaurentPolynomial.monomial(rank, [rng.randint(-3, 3) for _ in range(rank)], rng.choice(HALVES))
+        if k % 3 == 0:
+            factor = _multivariate_poly(rng, rank)
+            if not factor.is_zero():
+                num, den = num * factor, den * factor
+        yield num, den
+
+
+def _same_terms(value, pair):
+    """value's num and den equal the pair term for term, with plain tuples
+    as exponents."""
+    return all(
+        list(poly.terms()) == list(expected.terms())
+        and poly.rank == expected.rank
+        and all(type(e) is tuple for e in poly.support())
+        for poly, expected in zip((value.num, value.den), pair)
+    )
+
+
+def test_every_rank_above_one_matches_the_fraction_pairs():
+    pairs = list(_multivariate_pairs(113, 360))
+    kinds = {"zero": 0, "constant": 0, "one-term": 0, "negative": 0, "factor": 0}
+    for num, den in pairs:
+        kinds["zero"] += num.is_zero()
+        kinds["constant"] += num.is_constant() or den.is_constant()
+        kinds["one-term"] += len(num) == 1 or len(den) == 1
+        kinds["negative"] += any(e < 0 for exponent in num.support() + den.support() for e in exponent)
+    values = [RationalFunction(num, den) for num, den in pairs]
+    oracle = [fraction_pair(num, den) for num, den in pairs]
+    by_rank = {}
+    for value, x in zip(values, oracle):
+        by_rank.setdefault(value.rank, []).append((value, x))
+    checked = 0
+    for cases in by_rank.values():
+        for (r, x), (s, y), (t, z) in zip(cases, cases[1:] + cases[:1], cases[2:] + cases[:2]):
+            results = [
+                ("new", r, x),
+                ("+", r + s, _pair_add(x, y)),
+                ("-", r - s, _pair_add(x, _pair_neg(y))),
+                ("*", r * s, _pair_mul(x, y)),
+                ("neg", -r, _pair_neg(x)),
+                ("sigma", sigma_map(r), _pair_sigma(x)),
+                ("pow0", r**0, _pair_pow(x, 0)),
+                ("pow2", r**2, _pair_pow(x, 2)),
+                ("(r+s)*t", (r + s) * t, _pair_mul(_pair_add(x, y), z)),
+                ("sigma(r*s)-t", sigma_map(r * s) - t, _pair_add(_pair_sigma(_pair_mul(x, y)), _pair_neg(z))),
+            ]
+            if not s.is_zero():
+                results += [
+                    ("/", r / s, _pair_mul(x, _pair_inverse(y))),
+                    ("inverse", s.inverse(), _pair_inverse(y)),
+                    ("pow-2", s**-2, _pair_pow(y, -2)),
+                ]
+            for name, value, pair in results:
+                assert _same_terms(value, pair), (name, r, s, t)
+                assert value.is_zero() == pair[0].is_zero(), (name, r)
+                assert value.constant_value() == pair[0].ratio(pair[1]), (name, r)
+                checked += 1
+            # Equal values with different forms: a planted common factor.
+            factor = _multivariate_poly(random.Random(checked), r.rank)
+            if not factor.is_zero():
+                kinds["factor"] += len(factor) > 1
+                u, w = x[0] * factor, x[1] * factor
+                assert RationalFunction(u, w) == r and _pair_eq(fraction_pair(u, w), x)
+            for other, pair in ((s, y), (t, z), (r + s, _pair_add(x, y))):
+                assert (r == other) == _pair_eq(x, pair), (r, other)
+            c = COEFFS[checked % len(COEFFS)]
+            assert (r == c) == _pair_eq(x, (LaurentPolynomial.constant(r.rank, c), LaurentPolynomial.one(r.rank)))
+    assert set(by_rank) == {2, 3} and checked > 4000
+    assert all(n >= 15 for n in kinds.values()), kinds
 
 
 def test_equality_compares_the_integer_forms():

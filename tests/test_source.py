@@ -154,3 +154,33 @@ def test_a_re_imported_package_frees_the_old_one():
         [sys.executable, "-c", RE_IMPORT], capture_output=True, text=True, env=env, check=True
     )
     assert result.stdout.strip() == "True"
+
+
+def test_ratfunc_has_one_rank_test():
+    # Every rank holds the one integer form, so no RationalFunction method
+    # may branch on the rank or on a missing form.  The one rank test left
+    # is the gcd condition of _normal_form: only rank 1 divides out a gcd.
+    def is_rank(node):
+        return isinstance(node, ast.Name) and node.id == "rank" or (
+            isinstance(node, ast.Attribute) and node.attr == "rank"
+        )
+
+    def is_ints(node):
+        return isinstance(node, ast.Attribute) and node.attr == "_ints"
+
+    def tests(function):
+        for node in ast.walk(function):
+            if isinstance(node, ast.Compare):
+                operands = [node.left, *node.comparators]
+                constants = [o.value for o in operands if isinstance(o, ast.Constant)]
+                if any(map(is_rank, operands)) and constants:
+                    yield f"{function.name}:{node.lineno} compares rank"
+                if any(map(is_ints, operands)) and None in constants:
+                    yield f"{function.name}:{node.lineno} tests _ints for None"
+
+    tree = ast.parse((SOURCE / "ratfunc.py").read_text(encoding="utf-8"))
+    functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+    (cls,) = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "RationalFunction"]
+    methods = [node for node in cls.body if isinstance(node, ast.FunctionDef)]
+    found = [line for function in methods + functions for line in tests(function)]
+    assert len(methods) > 20 and [line.split(":")[0] for line in found] == ["_normal_form"], found
