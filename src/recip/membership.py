@@ -1,27 +1,34 @@
 """Membership decision for the local ring attached to a derived semigroup.
 
 The target ring is the semigroup algebra of S' localized at its homogeneous
-maximal ideal.  A reduced rank-1 fraction p/q belongs to it exactly when q
+maximal ideal.  A reduced rank-1 fraction f/g belongs to it exactly when g
 does not vanish at the origin and some polynomial multiplier h with h(0) = 1
 pushes both supports into S':
 
-    support(p*h) in S'   and   support(q*h) in S'.
+    support(f*h) in S'   and   support(g*h) in S'.
 
-Searching for h is a finite problem: coefficients of p*h and q*h at the gap
-degrees of S' must vanish, each such coefficient at degree j involves only
-h_k with k <= j, and every degree at or beyond the conductor of S' lies in
-S' automatically.  So truncating h at the Frobenius number F' of S' loses
-nothing, and the gap conditions form a finite linear system with h_0 = 1
-pinned.  Its rows come from the integer form of r, so its coefficients are
-integers and ``solve_affine`` eliminates over Z; the solution h is
-rational.  Feasibility yields a certificate; infeasibility is an exact
-non-membership proof.
+Only the coefficients at the gaps of S' matter, the one at gap j involves
+only h_k with k <= j, and every gap is at most the Frobenius number F' of
+S'; so h is truncated at F', and the search is a finite linear system.
 
-The system has 2 * |gaps of S'| equations in the F' unknowns h_1 .. h_F',
-but the equation at gap j of p (or q) touches only h_(j - e) for the
-exponents e of p (or q).  Each equation is therefore built straight from
-the terms as a sparse ``{column: coefficient}`` row, and the solver hands
-back only the nonzero h_k; no dense matrix is ever formed.
+Half of that system decides.  Let rho = f/g as a power series.  Then r is
+a member exactly when rho_j = 0 at every gap j of S':
+
+    (<=) h = g_0/g mod X^(F'+1) gives g*h = g_0 and f*h = g_0*rho below F'+1.
+    (=>) For any h that clears g*h at every gap, u = g*h is supported on {0}
+         and S'.  At the least gap j with rho_j != 0, every j - m (m in S',
+         0 < m < j) is a smaller gap, so (f*h)_j = (rho*u)_j = g_0*rho_j != 0.
+
+So the gap rows of g always have a solution (g_0/g mod X^(F'+1)), and any
+one of them clears f*h at every gap exactly when r is a member.  Only the
+|gaps of S'| rows of g are built, each from the terms of g below its gap as
+a sparse ``{column: coefficient}`` row of ints; ``solve_affine`` eliminates
+over Z and hands back the nonzero h_k, and the coefficients of f*h at the
+gaps are then checked on ints.  For a member, the rows of g and the full
+system have one solution set, so one row space and one set of pivot
+columns, and the certificate is that of the full system.  The series itself
+is never computed: its coefficients have g_0^(k+1) in their denominators,
+log2|g_0| more bits per degree.
 
 The reciprocal complement of the semigroup algebra of S is the image of this
 ring under the exponent-negation automorphism, so membership for it is
@@ -31,6 +38,7 @@ decided on the sigma side.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -70,13 +78,15 @@ def decide_membership(r: RationalFunction, S: NumericalSemigroup) -> MembershipV
     """Decide whether the rank-1 fraction r lies in the localized S'-algebra.
 
     Returns Member with a multiplier certificate h (constant term 1) such
-    that p*h and q*h have supports in S', or NotMember naming the failed
-    check: a pole at the origin, or an infeasible gap-coefficient system.
+    that num(r)*h and den(r)*h have supports in S', or NotMember naming the
+    failed check: a pole at the origin, or an infeasible gap-coefficient
+    system (the series of r is nonzero at a gap of S').
 
-    The gap rows come from r's integer form p*f / (q*g), as ints: the
-    constant p/q scales every row of num(r) and its right-hand side alike,
-    so the rows of f have the same solution, and neither num(r) nor den(r)
-    is built.
+    h solves the gap rows of den(r) alone; it is a certificate exactly when
+    num(r)*h vanishes at every gap as well, and otherwise no h is.  Both
+    come from r's integer form p*f / (q*g), as ints: the constant p/q
+    changes neither the rows of g nor where f*h vanishes, and neither
+    num(r) nor den(r) is built.
     """
     if r.rank != 1:
         raise ValueError("membership decision requires rank 1")
@@ -89,17 +99,34 @@ def decide_membership(r: RationalFunction, S: NumericalSemigroup) -> MembershipV
     if bound < 0:
         return MembershipVerdict.member(LaurentPolynomial.one(1))
 
-    # Unknowns h_1 .. h_bound in columns 0 .. bound - 1; h_0 = 1.  One sparse
-    # row per (polynomial, gap j), built from the terms c*X^e of poly:
-    # sum_e c * h_(j - e) = -coeff(poly, j), over 1 <= j - e (e >= 0 here).
+    # Unknowns h_1 .. h_bound in columns 0 .. bound - 1; h_0 = 1.  The row of
+    # gap j takes the terms c*X^e of g below j:
+    # sum_e c * h_(j - e) = -g_j, over 1 <= j - e.
+    terms = sorted(g.items())
     rows: list[dict[int, int]] = []
     rhs: list[int] = []
-    for poly in (f, g):
-        for gap in sprime.gaps:
-            rows.append({gap - e - 1: c for e, c in poly.items() if e < gap})
-            rhs.append(-poly.get(gap, 0))
+    below = 0
+    for gap in sprime.gaps:
+        while below < len(terms) and terms[below][0] < gap:
+            below += 1
+        rows.append({gap - e - 1: c for e, c in terms[:below]})
+        rhs.append(-g.get(gap, 0))
     solution = solve_affine(rows, rhs)
     if solution is None:
+        raise ArithmeticError("h = g(0)/g mod X^(F'+1) solves the gap rows of g, but solve_affine found none")
+
+    # h clears f at every gap exactly when r is a member.  Checked on ints:
+    # scale * h has integer coefficients.
+    scale = math.lcm(*[c.denominator for c in solution.values()])
+    scaled = [(0, scale)] + [(k + 1, c.numerator * (scale // c.denominator)) for k, c in solution.items()]
+    members = sprime.members
+    at_gaps: dict[int, int] = {}
+    for e, c in f.items():
+        for k, d in scaled:
+            j = e + k
+            if j <= bound and not members >> j & 1:
+                at_gaps[j] = at_gaps.get(j, 0) + c * d
+    if any(at_gaps.values()):
         return MembershipVerdict.not_member(LINEAR_SYSTEM_INFEASIBLE)
     # solve_affine's values are nonzero Fractions, so h needs no validation.
     h = LaurentPolynomial._raw(1, {(0,): Fraction(1), **{(k + 1,): c for k, c in solution.items()}})

@@ -266,33 +266,30 @@ class _Parser:
         return sign * int(token)
 
 
-def _height_shape(poly: LaurentPolynomial) -> HeightShape:
-    """The term count, the height (widest numerator times widest
-    denominator) and the support's box."""
-    if poly.is_zero():
-        return 0, 0, ()
-    exponents, coeffs = zip(*list(poly.terms()))
-    height = max(abs(c.numerator) for c in coeffs) * max(c.denominator for c in coeffs)
-    return len(coeffs), height, tuple([(min(column), max(column)) for column in zip(*exponents)])
-
-
 def _height_shapes(r: RationalFunction) -> tuple[HeightShape, HeightShape]:
-    """The height shapes of num(r) and den(r).
+    """The height shapes of num(r) and den(r): each side's term count, its
+    height (widest numerator times widest denominator) and its support's box.
 
-    A rank-1 fraction is read from its integer form p*f / (q*g), and neither
-    num nor den is built: den = g has int coefficients, and the coefficient
-    p*c/q of num reduces to (p*c/d) / (q/d) with d = gcd(c, q), because p
-    and q are coprime.
+    They are read from r's integer form p*f / (q*g) in every rank, and
+    neither num nor den is built: den = g has int coefficients, and the
+    coefficient p*c/q of num reduces to (p*c/d) / (q/d) with d = gcd(c, q),
+    because p and q are coprime.
     """
-    if r.rank != 1:
-        return _height_shape(r.num), _height_shape(r.den)
     p, q, f, g = r._ints
-    den = len(g), max(map(abs, g.values())), ((min(g), max(g)),)
+    den = len(g), max(map(abs, g.values())), _support_box(g, r.rank)
     if not p:
         return (0, 0, ()), den
     gcds = [math.gcd(c, q) for c in f.values()]
     height = abs(p) * max([abs(c) // d for c, d in zip(f.values(), gcds)]) * (q // min(gcds))
-    return (len(f), height, ((min(f), max(f)),)), den
+    return (len(f), height, _support_box(f, r.rank)), den
+
+
+def _support_box(f: dict, rank: int) -> Box:
+    """The box of a nonzero int map's support: int exponents in rank 1,
+    Vectors above."""
+    if rank == 1:
+        return ((min(f), max(f)),)
+    return tuple([(min(column), max(column)) for column in zip(*f)])
 
 
 def _box_terms(box: Box) -> int:

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -185,20 +186,140 @@ def test_certificates_match_the_fraction_solve(monkeypatch):
 
 
 def test_wide_system_stays_small():
-    # <2,4001> has S' = <2,4001> with F' = 3999: 4,000 gap equations in 3,999
-    # unknowns, 16 million cells if written densely.  The S' derivation is
-    # warmed first (it is cached), so the peak is the decision's own.
+    # <2,4001> has S' = <2,4001> with F' = 3999: 2,000 gap rows of g in 3,999
+    # unknowns, 8 million cells if written densely.  1/(1-X) is not a member
+    # (its series is 1 at the gap 1); the other two are, and their series is
+    # nonzero at every even degree up to F', where for 10^30 - X^2 it is
+    # 10^(-30(k+1)) at degree 2k.  The S' derivation is warmed first (it is
+    # cached), so the peak is the decision's own.
     S = ns_create([2, 4001])
     assert derive_sprime(S).frobenius == 3999
-    r = RF("1/(1-X)")
-    tracemalloc.start()
-    try:
+    for text, member in (("1/(1-X)", False), ("1/(1-X^2)", True), ("1/(10^30-X^2)", True)):
+        r = RF(text)
+        tracemalloc.start()
+        try:
+            verdict = decide_membership(r, S)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert verdict.is_member is member, text
+        assert member or verdict.obstruction == LINEAR_SYSTEM_INFEASIBLE
+        assert peak < 16 * 2**20, (text, peak)
+
+
+def full_system_decide(r, S):
+    """Reference decision on the full gap system: the rows of f and of g at
+    every gap of S', built from r's integer form p*f / (q*g) and solved by
+    solve_affine."""
+    _, _, f, g = r._ints
+    if 0 not in g:
+        return MembershipVerdict.not_member(POLE_AT_ORIGIN)
+    sprime = derive_sprime(S)
+    if sprime.frobenius < 0:
+        return MembershipVerdict.member(LaurentPolynomial.one(1))
+    rows, rhs = [], []
+    for poly in (f, g):
+        for gap in sprime.gaps:
+            rows.append({gap - e - 1: c for e, c in poly.items() if e < gap})
+            rhs.append(-poly.get(gap, 0))
+    solution = membership.solve_affine(rows, rhs)
+    if solution is None:
+        return MembershipVerdict.not_member(LINEAR_SYSTEM_INFEASIBLE)
+    return MembershipVerdict.member(LaurentPolynomial(1, {(0,): 1, **{(k + 1,): c for k, c in solution.items()}}))
+
+
+def test_g_row_verdicts_and_certificates_match_the_full_system():
+    # The verdict and the certificate read from the rows of g alone equal
+    # those of the full system, rows of f included:
+    # on seeded general p/q, on sums and products of two reciprocals over
+    # <4,7,9>, and on 1/(c X^s) + 1/(c1 + c2 X^t) (sent through sigma) over
+    # the ladder from <4,7,9> to <101,113,127> and over <2,2001>.
+    rng = random.Random(29)
+    coeffs = (1, -1, 2, -2, 3, Fraction(1, 2), Fraction(-1, 2))
+    small = list(S479.members_up_to(12))[1:]
+
+    def denominator():
+        return LaurentPolynomial(1, {(m,): rng.choice(coeffs) for m in rng.sample(small, rng.randint(1, 3))})
+
+    cases = []
+    for _ in range(100):
+        a, b = (normalize_reciprocal_sum([denominator(), denominator()]) for _ in range(2))
+        cases += [(sigma_map(a + b), S479), (sigma_map(a * b), S479)]
+    for gens in [(4, 7, 9), (11, 13, 17), (23, 29, 31), (43, 47, 53), (101, 113, 127), (2, 2001)]:
+        S = ns_create(gens)
+        members = list(S.members_up_to(2 * S.multiplicity))[1:]
+        for _ in range(8):
+            c1, c2 = rng.sample((1, 2, 3), 2)
+            monomial = LaurentPolynomial(1, {(rng.choice(members),): rng.choice((1, -1, 2, -2))})
+            binomial = LaurentPolynomial(1, {(0,): c1 * rng.choice((1, -1)), (rng.choice(members),): c2 * rng.choice((1, -1))})
+            cases.append((sigma_map(normalize_reciprocal_sum([monomial, binomial])), S))
+        for _ in range(40):
+            while (den := random_nonzero_poly(rng, polynomial=True, span=3 * S.multiplicity)).constant_term() == 0:
+                pass
+            cases.append((RationalFunction(random_poly(rng, polynomial=True, span=3 * S.multiplicity), den), S))
+    verdicts = [decide_membership(r, S) for r, S in cases]
+    assert verdicts == [full_system_decide(r, S) for r, S in cases]
+    nontrivial = [v for v in verdicts if v.is_member and len(v.certificate) > 1]
+    infeasible = [v for v in verdicts if v.obstruction == LINEAR_SYSTEM_INFEASIBLE]
+    assert len(nontrivial) >= 100 and len(infeasible) >= 100, (len(nontrivial), len(infeasible))
+    assert {(2, 2001), (101, 113, 127)} <= {S.generators for (_, S), v in zip(cases, verdicts) if v.is_member}
+
+
+def test_worst_case_at_the_conductor_limit_stays_fast():
+    # <2,9999> has S' = S, so F' = 9997 and 4,999 gaps, the largest system
+    # MAX_CONDUCTOR allows.  X^10000/g is a member (its series starts above
+    # F'), 1/g is not for the first three g (its series is nonzero at the
+    # gap 1).  Over g = 10^d - X^2 both are members, and the series of 1/g is
+    # nonzero at every even degree up to F' with 3.3*d more bits per degree,
+    # so computing that series exactly would take minutes at d = 1000.
+    S = ns_create([2, 9999])
+    assert derive_sprime(S).frobenius == 9997
+    cases = [(f, g, f != "1") for g in ("1-X", "1-X-X^2", "3-X+2*X^3") for f in ("X^10000", "1")]
+    cases += [(f, f"10^{d}-X^2", True) for d in (100, 1000) for f in ("X^10000", "1")]
+    for f, g, member in cases:
+        r = RF(f"({f})/({g})")
+        start = time.perf_counter()
         verdict = decide_membership(r, S)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert verdict.obstruction == LINEAR_SYSTEM_INFEASIBLE
-    assert peak < 16 * 2**20, peak
+        elapsed = time.perf_counter() - start
+        assert verdict.is_member is member, (f, g)
+        assert elapsed < 1.0, (f, g, elapsed)
+        if member:
+            assert verify_certificate(r, S, verdict.certificate)
+        tracemalloc.start()
+        try:
+            decide_membership(r, S)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, (f, g, peak)
+
+
+def test_verdicts_match_the_sympy_series():
+    # r is a member exactly when the series of f/g to O(X^(F'+1)) has no
+    # nonzero coefficient at a gap of S'.
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(31)
+    seen = {True: 0, False: 0}
+    for gens in [(2, 3), (3, 5), (4, 7, 9), (5, 6, 13)]:
+        S = ns_create(gens)
+        sprime = derive_sprime(S)
+        for _ in range(25):
+            r = RationalFunction(
+                random_poly(rng, polynomial=True, span=8),
+                random_nonzero_poly(rng, polynomial=True, span=8),
+            )
+            if r.den.constant_term() == 0:
+                continue
+            num, den = (
+                sum((sympy.Rational(c.numerator, c.denominator) * x ** e[0] for e, c in poly.terms()), sympy.Integer(0))
+                for poly in (r.num, r.den)
+            )
+            series = sympy.Poly(sympy.series(num / den, x, 0, sprime.frobenius + 1).removeO(), x)
+            expected = all(series.coeff_monomial(x**j) == 0 for j in sprime.gaps)
+            assert decide_membership(r, S).is_member is expected, (r, gens)
+            seen[expected] += 1
+    assert min(seen.values()) >= 10, seen
 
 
 # -- verify_certificate -----------------------------------------------------------

@@ -243,24 +243,38 @@ def test_sums_of_high_powers_are_refused_quickly():
         assert time.perf_counter() - start < 1.0, text
 
 
+def height_shape(poly):
+    """Reference height shape of a Fraction polynomial: its term count, max
+    |numerator| times max denominator, and its support's box."""
+    if poly.is_zero():
+        return 0, 0, ()
+    exponents, coeffs = zip(*list(poly.terms()))
+    height = max(abs(c.numerator) for c in coeffs) * max(c.denominator for c in coeffs)
+    return len(coeffs), height, tuple([(min(column), max(column)) for column in zip(*exponents)])
+
+
 def test_shapes_from_the_integer_form_match_the_polynomials():
-    # A rank-1 operand's shapes are read from its integer form p*f / (q*g);
-    # they must equal the ones read from the Fraction polynomials num and
-    # den, whose height is max |numerator| times max denominator.
+    # An operand's shapes are read from its integer form p*f / (q*g) in every
+    # rank; they must equal the ones read from the Fraction polynomials num
+    # and den, whose height is max |numerator| times max denominator.
     rng = random.Random(11)
     pool = [Fraction(n, d) for n in range(-12, 13) if n for d in (1, 2, 3, 4, 6, 9)]
     pool += [10**12 + 7, Fraction(-(10**12), 7)]
-    checked = 0
-    for _ in range(3000):
-        num, den = (
-            LaurentPolynomial(1, {(e,): rng.choice(pool) for e in rng.sample(range(-4, 9), rng.randint(1, 4))})
-            for _ in range(2)
-        )
-        if rng.random() < 0.05:
-            num = LaurentPolynomial.zero(1)
-        r = RationalFunction(num, den)
-        shapes = parse._height_shapes(r)
-        assert r._num is None and r._den is None  # neither side was built
-        assert shapes == (parse._height_shape(r.num), parse._height_shape(r.den))
-        checked += shapes[0][1] > 1 and r._ints[1] > 1  # a height with a denominator
-    assert checked > 500
+    for rank in (1, 2, 3):
+        checked = 0
+        for _ in range(3000):
+            num, den = (
+                LaurentPolynomial(rank, {
+                    tuple([rng.randint(-4, 8) for _ in range(rank)]): rng.choice(pool)
+                    for _ in range(rng.randint(1, 4))
+                })
+                for _ in range(2)
+            )
+            if rng.random() < 0.05:
+                num = LaurentPolynomial.zero(rank)
+            r = RationalFunction(num, den)
+            shapes = parse._height_shapes(r)
+            assert r._num is None and r._den is None  # neither side was built
+            assert shapes == (height_shape(r.num), height_shape(r.den))
+            checked += shapes[0][1] > 1 and r._ints[1] > 1  # a height with a denominator
+        assert checked > 500, (rank, checked)
