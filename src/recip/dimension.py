@@ -22,9 +22,12 @@ base has leading index i-1.
    such an element.
 
 ``si_witness`` still finds its explicit integer element by the exact
-search over subsets of families (Fourier-Motzkin feasibility for each case,
-scaled to integers by a common denominator), so its witnesses stay as they
-were; it runs only on strata the lemma calls nonempty.
+search over subsets of families (Fourier-Motzkin feasibility for each
+case), so its witnesses stay as they were; it runs only on strata the
+lemma calls nonempty.  A feasible case is made integral by one scale L,
+the lcm of the denominators of its multipliers, and summed on ints; the
+free shifts then set each covered coordinate before i-1 to 0 and a covered
+coordinate i-1 to max(its value, L).
 
 The report derives N - t <= dim <= N from the number t of empty strata and
 pins the dimension exactly in the cases the theory settles: all strata
@@ -157,50 +160,36 @@ def _materialize(
     covered: set[int],
     solution: list[Fraction],
 ) -> tuple[int, ...]:
-    """Scale a rational case solution to an explicit integer monoid element."""
-    gen_mult = solution[: len(gens)]
-    fam_mult = [Fraction(1) + mu for mu in solution[len(gens):]]
-    partial = [Fraction(0)] * M.rank
-    for mult, g in zip(gen_mult, gens):
-        for c in range(M.rank):
-            partial[c] += mult * g[c]
-    for mult, f in zip(fam_mult, used):
-        for c in range(M.rank):
-            partial[c] += mult * f.base[c]
-    shifts = {c: Fraction(0) for c in covered}
-    for c in covered:
-        if c < target:
-            shifts[c] = -partial[c]
-        elif c == target and partial[c] < 1:
-            shifts[c] = 1 - partial[c]
-    denominators = (
-        [v.denominator for v in gen_mult]
-        + [v.denominator for v in fam_mult]
-        + [v.denominator for v in shifts.values()]
-    )
-    scale = math.lcm(*denominators) if denominators else 1
+    """Scale a rational case solution to an explicit integer monoid element.
 
-    def whole(value: Fraction) -> int:
-        scaled = value * scale
+    One scale L, the lcm of the denominators of the generator multipliers
+    and of each used family's lambda = 1 + mu, turns every multiplier into
+    an integer count, and the witness is the sum of count * vector on ints.
+    The free shifts then lift it: a covered coordinate before ``target``
+    becomes 0, and a covered ``target`` becomes max(its value, L), that is
+    L times the rational sum raised to 1 where it is below 1.  Each
+    coordinate of the rational sum is an integer combination of the
+    multipliers, so L already clears the denominators of these shifts.
+    """
+    mults = solution[: len(gens)] + [1 + mu for mu in solution[len(gens):]]
+    scale = math.lcm(*[v.denominator for v in mults])
+    witness = [0] * M.rank
+    for k, (mult, vector) in enumerate(zip(mults, list(gens) + [f.base for f in used])):
+        scaled = mult * scale
         if scaled.denominator != 1:
             raise RuntimeError("si_witness: a scaled multiplier is not an integer")
-        return scaled.numerator
-
-    witness = [0] * M.rank
-    for mult, g in zip(gen_mult, gens):
-        count = whole(mult)
-        if count < 0:
+        count = scaled.numerator
+        if k < len(gens) and count < 0:
             raise RuntimeError("si_witness: a generator multiplier is negative")
-        for c in range(M.rank):
-            witness[c] += count * g[c]
-    for mult, f in zip(fam_mult, used):
-        count = whole(mult)
-        if count < 1:
+        if k >= len(gens) and count < 1:
             raise RuntimeError("si_witness: a used family's multiplier is below 1")
         for c in range(M.rank):
-            witness[c] += count * f.base[c]
-    for c, shift in shifts.items():
-        witness[c] += whole(shift)
+            witness[c] += count * vector[c]
+    for c in covered:
+        if c < target:
+            witness[c] = 0
+        elif c == target:
+            witness[c] = max(witness[c], scale)
     if any(witness[c] != 0 for c in range(target)):
         raise RuntimeError("si_witness: the witness is nonzero before the stratum coordinate")
     if witness[target] < 1:
@@ -231,18 +220,14 @@ def _free_shift_shape(M: LexMonoid) -> int | None:
     if M.generators or not M.families:
         return None
     pairs = set()
-    bases = set()
     for f in M.families:
         if len(f.free) != 1:
             return None
         lead = _leading_index(f.base)
         if any(v != (1 if c == lead else 0) for c, v in enumerate(f.base)):
             return None
-        bases.add(lead)
         pairs.add((lead, next(iter(f.free))))
-    m = max(bases) + 1
-    if bases != set(range(m)) or m >= M.rank:
-        return None
+    m = max(pairs)[0] + 1  # the pairs match only if the leads are 0 .. m - 1
     expected = {(j, i) for j in range(m) for i in range(m, M.rank)}
     return m if pairs == expected else None
 

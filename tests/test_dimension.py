@@ -1,5 +1,6 @@
 """Stratum emptiness, witnesses, and dimension reports for lex monoids."""
 
+import math
 import random
 import sys
 import types
@@ -93,8 +94,63 @@ def oracle_witness(M, i):
                 constraints.append((tuple(-v for v in row), Fraction(offset - 1)))
         solution = linsolve.fm_witness(constraints, nvars)
         if solution is not None:
-            return dimension._materialize(M, target, gens, used, covered, solution)
+            return fraction_materialize(M, target, gens, used, covered, solution)
     return None
+
+
+def fraction_materialize(M, target, gens, used, covered, solution):
+    """The materialisation ``dimension._materialize`` replaced: the case's
+    element summed in Fractions, the free shifts taken from that sum, and
+    only then one scale over the multipliers and shifts, summed again on
+    ints."""
+    gen_mult = solution[: len(gens)]
+    fam_mult = [Fraction(1) + mu for mu in solution[len(gens):]]
+    partial = [Fraction(0)] * M.rank
+    for mult, g in zip(gen_mult, gens):
+        for c in range(M.rank):
+            partial[c] += mult * g[c]
+    for mult, f in zip(fam_mult, used):
+        for c in range(M.rank):
+            partial[c] += mult * f.base[c]
+    shifts = {c: Fraction(0) for c in covered}
+    for c in covered:
+        if c < target:
+            shifts[c] = -partial[c]
+        elif c == target and partial[c] < 1:
+            shifts[c] = 1 - partial[c]
+    denominators = (
+        [v.denominator for v in gen_mult]
+        + [v.denominator for v in fam_mult]
+        + [v.denominator for v in shifts.values()]
+    )
+    scale = math.lcm(*denominators) if denominators else 1
+
+    def whole(value: Fraction) -> int:
+        scaled = value * scale
+        if scaled.denominator != 1:
+            raise RuntimeError("si_witness: a scaled multiplier is not an integer")
+        return scaled.numerator
+
+    witness = [0] * M.rank
+    for mult, g in zip(gen_mult, gens):
+        count = whole(mult)
+        if count < 0:
+            raise RuntimeError("si_witness: a generator multiplier is negative")
+        for c in range(M.rank):
+            witness[c] += count * g[c]
+    for mult, f in zip(fam_mult, used):
+        count = whole(mult)
+        if count < 1:
+            raise RuntimeError("si_witness: a used family's multiplier is below 1")
+        for c in range(M.rank):
+            witness[c] += count * f.base[c]
+    for c, shift in shifts.items():
+        witness[c] += whole(shift)
+    if any(witness[c] != 0 for c in range(target)):
+        raise RuntimeError("si_witness: the witness is nonzero before the stratum coordinate")
+    if witness[target] < 1:
+        raise RuntimeError("si_witness: the witness is not positive at the stratum coordinate")
+    return tuple(witness)
 
 
 def _lead_vector(rng, rank, lead):
@@ -214,6 +270,59 @@ def test_lemma_matches_the_all_subsets_search():
     assert empty >= 300 and families == set(range(9)), (empty, families)
 
 
+def fm_shaped_cases(seed, count):
+    """Case solutions shaped like ``fm_witness``'s (generator multipliers,
+    then each used family's mu, as Fractions with denominators 1 to 12) on
+    vectors that vanish at the uncovered coordinates before the stratum
+    coordinate, with covered coordinates anywhere; a few multipliers are
+    negative, so that the checks are compared too."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        rank = rng.randint(1, 5)
+        target = rng.randrange(rank)
+        covered = {c for c in range(rank) if rng.random() < 0.4}
+
+        def vector():
+            return tuple([
+                0 if c < target and c not in covered else rng.randint(0 if c == target else -3, 3)
+                for c in range(rank)
+            ])
+
+        gens = [vector() for _ in range(rng.randint(0, 3))]
+        used = [ShiftFamily(vector(), frozenset()) for _ in range(rng.randint(0, 3))]
+        solution = [Fraction(rng.randint(-1, 24), rng.randint(1, 12)) for _ in range(len(gens) + len(used))]
+        yield LexMonoid(rank=rank), target, gens, used, covered, solution
+
+
+def test_one_scale_materialisation_matches_the_fraction_one():
+    # Fed the same case solutions, the one-scale build and the Fraction build
+    # return the same witness or raise the same check.
+    def outcome(materialize, case):
+        try:
+            return materialize(*case)
+        except RuntimeError as error:
+            return str(error)
+
+    seen = {"before": 0, "after": 0, "lifted": 0, "kept": 0, "failed": 0}
+    denominators = set()
+    for case in fm_shaped_cases(11, 4000):
+        _, target, gens, used, covered, solution = case
+        expected = outcome(fraction_materialize, case)
+        assert outcome(dimension._materialize, case) == expected, case
+        if isinstance(expected, str):
+            seen["failed"] += 1
+            continue
+        denominators.update(v.denominator for v in solution)
+        seen["before"] += any(c < target for c in covered)
+        seen["after"] += any(c > target for c in covered)
+        if target in covered:
+            mults = solution[: len(gens)] + [1 + mu for mu in solution[len(gens):]]
+            value = sum(m * v[target] for m, v in zip(mults, gens + [f.base for f in used]))
+            seen["lifted" if value < 1 else "kept"] += 1
+    assert denominators == set(range(1, 13)), denominators
+    assert min(seen.values()) >= 100, seen
+
+
 def test_reports_run_no_fourier_motzkin(monkeypatch):
     def refuse(*args):
         raise AssertionError("fm_witness called")
@@ -321,6 +430,26 @@ def test_free_shift_monoid_shapes():
         free_shift_monoid(2, 2)
     with pytest.raises(ValueError):
         free_shift_monoid(1, 0)
+    # Near misses: the same families shuffled or one of them duplicated keep
+    # the shape; without the lead-0 families, or with any extra one, it is gone.
+    rng = random.Random(41)
+    for n in range(2, 7):
+        for m in range(1, n):
+            families = free_shift_monoid(n, m).families
+            unit = [tuple([int(c == j) for c in range(n)]) for j in range(n)]
+            pairs = [ShiftFamily(unit[j], frozenset({i})) for j in range(n) for i in range(j + 1, n)]
+            extras = [f for f in pairs if f not in families]
+            extras.append(ShiftFamily(tuple([2] + [0] * (n - 1)), frozenset({n - 1})))
+            shapes = {
+                "shuffled": rng.sample(families, len(families)),
+                "duplicated": families + (rng.choice(families),),
+                "no lead 0": [f for f in families if f.base[0] == 0],
+            }
+            shapes.update({f"extra {k}": families + (f,) for k, f in enumerate(extras)})
+            for name, shape in shapes.items():
+                M = LexMonoid(rank=n, families=tuple(shape))
+                expected = m if name in ("shuffled", "duplicated") else None
+                assert dimension._free_shift_shape(M) == expected, (n, m, name)
 
 
 def test_full_cone_reports():
