@@ -15,8 +15,8 @@ membership; positive order means constant part 0.
 
 The X block enters only through that ratio: the top Y-coefficients are
 compared by scaling one onto the other, so no gcd is taken.  The Y-adic
-test on the sigma side is this decider composed with ``sigma_map``, as in
-``membership.in_reciprocal_complement``.
+test on the sigma side is this decider composed with ``sigma_map``:
+``kplusm_membership(sigma_map(r), n)``.
 """
 
 from __future__ import annotations

@@ -8,8 +8,9 @@ Fractions.
 
 Affine systems are sparse in and out: a row is a ``{column: coefficient}``
 mapping whose absent columns are zero, and a solution is a
-``{column: value}`` dict holding only the nonzero values.  The elimination
-runs fraction-free, on ints; only back-substitution builds Fractions.
+``{column: numerator}`` dict holding only the nonzero values, over one
+common denominator.  Elimination and back-substitution run on ints, and
+the affine solver builds no Fraction.
 """
 
 from __future__ import annotations
@@ -24,24 +25,28 @@ Constraint = tuple[Row, Fraction]  # coefficients a, bound b: a . x <= b
 
 def solve_affine(
     rows: Sequence[Mapping[int, int | Fraction]], rhs: Sequence[int | Fraction]
-) -> dict[int, Fraction] | None:
-    """One exact solution of rows . x = rhs as {column: nonzero value}, or None.
+) -> tuple[dict[int, int], int] | None:
+    """One exact solution of rows . x = rhs, or None if there is none.
 
-    Each row maps columns to coefficients (absent columns are zero); None
-    means the system is inconsistent.  Entries may be ints or Fractions.
-    Elimination runs over Z: a row holding Fractions is first scaled by the
-    lcm of its denominators, and a row is reduced against a pivot with
-    leading entry l by cross-multiplying, l*row - a*pivot (both scaled down
-    by gcd(l, a)).  Scaling a row by a nonzero int keeps its zero pattern,
-    so the pivot columns and the solution are those of elimination over Q.
+    The solution is (numerators, den): x_c = numerators[c] / den, where
+    numerators holds the nonzero values only, den > 0 is their least common
+    denominator and gcd(den, *numerators) = 1.
+
+    Each row maps columns to coefficients (absent columns are zero).
+    Entries may be ints or Fractions.  Elimination runs over Z: a row
+    holding Fractions is first scaled by the lcm of its denominators, and a
+    row is reduced against a pivot with leading entry l by
+    cross-multiplying, l*row - a*pivot (both scaled down by gcd(l, a)).
+    Scaling a row by a nonzero int keeps its zero pattern, so the pivot
+    columns and the solution are those of elimination over Q.
 
     Every row is reduced against the pivots found so far, always on its
     smallest column, and kept primitive with a positive leading entry when
     it becomes a pivot.  Then the pivots are back-substituted with free
     variables set to zero, so the answer is deterministic; it equals
     Gauss-Jordan's, since the pivot columns do not depend on elimination
-    order.  Back-substitution divides once per pivot, so every value of the
-    solution is an exact Fraction.
+    order.  Back-substitution keeps every value found so far over one
+    common denominator, raised only as far as the next value needs.
     """
     pivots: dict[int, tuple[int, dict[int, int], int]] = {}  # column -> (lead, rest of row, rhs)
     for row, b in zip(rows, rhs):
@@ -74,22 +79,21 @@ def solve_affine(
             pivots[c] = (lead, entries, b)
         elif b:
             return None
-    values: dict[int, tuple[int, int]] = {}  # column -> (numerator, denominator)
-    solution: dict[int, Fraction] = {}
+    numerators: dict[int, int] = {}
+    den = 1
     for c in sorted(pivots, reverse=True):
-        lead, rest, num = pivots[c]
-        den = 1
+        lead, rest, b = pivots[c]
+        num = b * den  # x_c = num / (lead * den)
         for k, v in rest.items():
-            if k in values:
-                n, d = values[k]
-                if d != den:  # bring num/den to the lcm of den and d
-                    m = d // math.gcd(den, d)
-                    num, den = num * m, den * m
-                num -= v * n * (den // d)
-        if num:
-            value = solution[c] = Fraction(num, den * lead)
-            values[c] = value.numerator, value.denominator
-    return solution
+            if k in numerators:
+                num -= v * numerators[k]
+        if num:  # den grows by the least factor s that makes x_c * den * s an int
+            s = lead // math.gcd(num, lead)
+            if s != 1:
+                den *= s
+                numerators = {k: n * s for k, n in numerators.items()}
+            numerators[c] = num * s // lead
+    return numerators, den
 
 
 def _cleared(entries: dict[int, int | Fraction], b: int | Fraction) -> tuple[dict[int, int], int]:

@@ -20,25 +20,28 @@ a member exactly when rho_j = 0 at every gap j of S':
          0 < m < j) is a smaller gap, so (f*h)_j = (rho*u)_j = g_0*rho_j != 0.
 
 So the gap rows of g always have a solution (g_0/g mod X^(F'+1)), and any
-one of them clears f*h at every gap exactly when r is a member.  Only the
+one of them clears f*h at every gap exactly when r is a member.  The
+decision reads only the terms of f and g at degree <= F'.  Only the
 |gaps of S'| rows of g are built, each from the terms of g below its gap as
 a sparse ``{column: coefficient}`` row of ints; ``solve_affine`` eliminates
-over Z and hands back the nonzero h_k, and the coefficients of f*h at the
-gaps are then checked on ints.  For a member, the rows of g and the full
-system have one solution set, so one row space and one set of pivot
-columns, and the certificate is that of the full system.  The series itself
-is never computed: its coefficients have g_0^(k+1) in their denominators,
-log2|g_0| more bits per degree.
+over Z and hands back the nonzero h_k as integer numerators over one
+common denominator, and the coefficients of f*h at the gaps are then
+checked on those ints.  Only a member's certificate is turned into
+Fractions.  For a member, the rows of g and the full system have one
+solution set, so one row space and one set of pivot columns, and the
+certificate is that of the full system.  The series itself is never
+computed: its coefficients have g_0^(k+1) in their denominators, log2|g_0|
+more bits per degree.
 
 The reciprocal complement of the semigroup algebra of S is the image of this
 ring under the exponent-negation automorphism, so membership for it is
-decided on the sigma side.
+decided on the sigma side, by the same body: the low terms of sigma(r) are
+read off the top terms of r's integer form, and sigma(r) is never built.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -46,7 +49,7 @@ from typing import Iterable, Sequence
 
 from .laurent import MAX_DEGREE, LaurentPolynomial, LimitExceeded, as_fraction
 from .linsolve import solve_affine
-from .ratfunc import RationalFunction, ReciprocalSum, sigma_map
+from .ratfunc import RationalFunction, ReciprocalSum
 from .semigroup import NumericalSemigroup, derive_sprime
 
 MEMBER = "Member"
@@ -82,44 +85,43 @@ def decide_membership(r: RationalFunction, S: NumericalSemigroup) -> MembershipV
     failed check: a pole at the origin, or an infeasible gap-coefficient
     system (the series of r is nonzero at a gap of S').
 
-    h solves the gap rows of den(r) alone; it is a certificate exactly when
-    num(r)*h vanishes at every gap as well, and otherwise no h is.  Both
-    come from r's integer form p*f / (q*g), as ints: the constant p/q
-    changes neither the rows of g nor where f*h vanishes, and neither
-    num(r) nor den(r) is built.
+    Decided by ``_decide`` from the terms of r's integer form p*f / (q*g)
+    at degree <= F': the constant p/q changes neither the rows of g nor
+    where f*h vanishes, and neither num(r) nor den(r) is built.
     """
     if r.rank != 1:
         raise ValueError("membership decision requires rank 1")
     _, _, f, g = r._ints  # reduced, with nonnegative degrees
     if 0 not in g:
         return MembershipVerdict.not_member(POLE_AT_ORIGIN)
-
     sprime = derive_sprime(S)
     bound = sprime.frobenius
-    if bound < 0:
-        return MembershipVerdict.member(LaurentPolynomial.one(1))
+    return _decide({e: c for e, c in f.items() if e <= bound}, {e: c for e, c in g.items() if e <= bound}, sprime)
 
-    # Unknowns h_1 .. h_bound in columns 0 .. bound - 1; h_0 = 1.  The row of
-    # gap j takes the terms c*X^e of g below j:
+
+def _decide(f: dict[int, int], g: dict[int, int], sprime: NumericalSemigroup) -> MembershipVerdict:
+    """The verdict on a reduced f/g with g(0) != 0, from the terms of f and
+    g at degree <= F', F' the Frobenius number of sprime, as {exponent:
+    coefficient} maps.
+
+    h solves the gap rows of g alone; it is a certificate exactly when f*h
+    vanishes at every gap as well, and otherwise no h is.  A sign or a
+    constant factor on f or on g changes neither.
+    """
+    # Unknowns h_1 .. h_F' in columns 0 .. F' - 1; h_0 = 1.  The row of gap j
+    # takes the terms c*X^e of g below j:
     # sum_e c * h_(j - e) = -g_j, over 1 <= j - e.
-    terms = sorted(g.items())
-    rows: list[dict[int, int]] = []
-    rhs: list[int] = []
-    below = 0
-    for gap in sprime.gaps:
-        while below < len(terms) and terms[below][0] < gap:
-            below += 1
-        rows.append({gap - e - 1: c for e, c in terms[:below]})
-        rhs.append(-g.get(gap, 0))
-    solution = solve_affine(rows, rhs)
+    gaps = sprime.gaps
+    rows = [{gap - e - 1: c for e, c in g.items() if e < gap} for gap in gaps]
+    solution = solve_affine(rows, [-g.get(gap, 0) for gap in gaps])
     if solution is None:
         raise ArithmeticError("h = g(0)/g mod X^(F'+1) solves the gap rows of g, but solve_affine found none")
 
     # h clears f at every gap exactly when r is a member.  Checked on ints:
-    # scale * h has integer coefficients.
-    scale = math.lcm(*[c.denominator for c in solution.values()])
-    scaled = [(0, scale)] + [(k + 1, c.numerator * (scale // c.denominator)) for k, c in solution.items()]
-    members = sprime.members
+    # den * h has the integer coefficients den and numerators.
+    numerators, den = solution
+    scaled = [(0, den)] + [(k + 1, n) for k, n in numerators.items()]
+    bound, members = sprime.frobenius, sprime.members
     at_gaps: dict[int, int] = {}
     for e, c in f.items():
         for k, d in scaled:
@@ -128,8 +130,8 @@ def decide_membership(r: RationalFunction, S: NumericalSemigroup) -> MembershipV
                 at_gaps[j] = at_gaps.get(j, 0) + c * d
     if any(at_gaps.values()):
         return MembershipVerdict.not_member(LINEAR_SYSTEM_INFEASIBLE)
-    # solve_affine's values are nonzero Fractions, so h needs no validation.
-    h = LaurentPolynomial._raw(1, {(0,): Fraction(1), **{(k + 1,): c for k, c in solution.items()}})
+    # solve_affine's numerators are nonzero, so h needs no validation.
+    h = LaurentPolynomial._raw(1, {(0,): Fraction(1), **{(k + 1,): Fraction(n, den) for k, n in numerators.items()}})
     return MembershipVerdict.member(h)
 
 
@@ -169,10 +171,23 @@ def in_reciprocal_complement(
 ) -> MembershipVerdict:
     """Membership of r in the reciprocal complement of the algebra of S.
 
-    Decided through the exponent-negation automorphism, which identifies the
-    reciprocal complement with the localized S'-algebra.
+    The exponent-negation automorphism sigma identifies the reciprocal
+    complement with the localized S'-algebra, so this is
+    ``decide_membership(sigma_map(r), S)``, read off r's integer form
+    p*f / (q*g) without building sigma(r): with m the top degree of f and
+    g, sigma(r) is X^m f(1/X) / X^m g(1/X) up to signs, which has a pole at
+    the origin exactly when deg g < m, and its terms at degree <= F' are
+    (m - e, c) for the terms c*X^e of f and g with e >= m - F'.
     """
-    return decide_membership(sigma_map(r), S)
+    if r.rank != 1:
+        raise ValueError("membership decision requires rank 1")
+    _, _, f, g = r._ints
+    m = max(max(f, default=0), max(g))
+    if m not in g:  # deg g < m
+        return MembershipVerdict.not_member(POLE_AT_ORIGIN)
+    sprime = derive_sprime(S)
+    low = m - sprime.frobenius
+    return _decide({m - e: c for e, c in f.items() if e >= low}, {m - e: c for e, c in g.items() if e >= low}, sprime)
 
 
 # Stage 2 of brute_force_witness stops after this many candidate checks.

@@ -1,5 +1,6 @@
 """Exact affine solving and Fourier-Motzkin feasibility."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -48,40 +49,56 @@ def sparse(rows):
 
 
 def nonzero(solution):
-    """A dense Gauss-Jordan solution as solve_affine's {column: nonzero value}."""
+    """A dense Gauss-Jordan solution as {column: nonzero value}."""
     return None if solution is None else {c: v for c, v in enumerate(solution) if v}
+
+
+def as_fractions(result):
+    """solve_affine's (numerators, den) as {column: Fraction}, or None,
+    after checking its shape: den is a positive int coprime to the
+    numerators, and the numerators are nonzero ints."""
+    if result is None:
+        return None
+    numerators, den = result
+    assert type(den) is int and den > 0, result
+    assert math.gcd(den, *numerators.values()) == 1, result
+    assert all(type(n) is int and n for n in numerators.values()), result
+    return {c: F(n, den) for c, n in numerators.items()}
 
 
 def test_solve_affine_unique():
     # x + y = 3, x - y = 1  ->  x = 2, y = 1
-    assert solve_affine(sparse([[F(1), F(1)], [F(1), F(-1)]]), [F(3), F(1)]) == {0: F(2), 1: F(1)}
+    assert solve_affine(sparse([[F(1), F(1)], [F(1), F(-1)]]), [F(3), F(1)]) == ({0: 2, 1: 1}, 1)
 
 
 def test_solve_affine_inconsistent():
     assert solve_affine(sparse([[F(1), F(1)], [F(2), F(2)]]), [F(1), F(3)]) is None
+    assert solve_affine([{0: 2, 1: 2}, {0: 1, 1: 1}], [1, 1]) is None
 
 
 def test_solve_affine_free_variables_default_to_zero():
     solution = solve_affine(sparse([[F(1), F(1), F(0)]]), [F(5)])
-    assert solution == {0: F(5)}
+    assert solution == ({0: 5}, 1)
 
 
 def test_solve_affine_sparse_rows_and_empty_system():
     # Columns are labels, not positions: nothing is allocated up to 10^9.
     rows = [{10**9: F(2), 3: F(1)}, {3: F(1)}, {}]
-    assert solve_affine(rows, [F(8), F(2), F(0)]) == {3: F(2), 10**9: F(3)}
+    assert solve_affine(rows, [F(8), F(2), F(0)]) == ({3: 2, 10**9: 3}, 1)
     assert solve_affine([{}], [F(1)]) is None
-    assert solve_affine([], []) == {}
+    assert solve_affine([], []) == ({}, 1)
 
 
 def test_solve_affine_on_ints_gives_exact_fractions():
-    # Back-substitution divides by each pivot's leading entry into a
-    # Fraction, so int-only input never yields an int quotient or a float.
+    # Back-substitution keeps each value as a reduced pair of ints and
+    # brings them to their least common denominator, so a value is an exact
+    # numerator over den, never an int quotient or a float.
     rows = [{0: 2, 1: 1}, {0: 1, 1: 3, 2: 1}, {2: 3}]
     solution = solve_affine(rows, [1, 2, 2])
-    assert solution == {0: F(1, 3), 1: F(1, 3), 2: F(2, 3)}
-    assert all(type(v) is F for v in solution.values())
-    assert all(type(v) is F for v in solve_affine([{0: 4}, {1: 1}], [2, 3]).values())
+    assert solution == ({2: 2, 1: 1, 0: 1}, 3)
+    assert as_fractions(solution) == {0: F(1, 3), 1: F(1, 3), 2: F(2, 3)}
+    assert solve_affine([{0: 4}, {1: 1}], [2, 3]) == ({1: 6, 0: 1}, 2)
+    assert solve_affine([{0: 6}, {1: 4}], [3, -2]) == ({1: -1, 0: 1}, 2)  # the lcm, not the product
     assert rows == [{0: 2, 1: 1}, {0: 1, 1: 3, 2: 1}, {2: 3}]  # the input is left as it was
 
 
@@ -93,7 +110,7 @@ def test_solve_affine_random_consistent_systems():
         target = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
         rows = [[F(rng.randint(-3, 3)) for _ in range(n)] for _ in range(m)]
         rhs = [sum((a * x for a, x in zip(row, target)), F(0)) for row in rows]
-        solution = solve_affine(sparse(rows), rhs)
+        solution = as_fractions(solve_affine(sparse(rows), rhs))
         assert solution is not None
         for row, b in zip(rows, rhs):
             assert sum((a * solution.get(c, 0) for c, a in enumerate(row)), F(0)) == b
@@ -119,9 +136,8 @@ def test_solve_affine_matches_gauss_jordan():
         if m and rng.random() < 0.4:
             rhs[rng.randrange(m)] += rng.randint(1, 3)
         expected = gauss_jordan(rows, rhs)
-        solution = solve_affine(sparse(rows), rhs)
+        solution = as_fractions(solve_affine(sparse(rows), rhs))
         assert solution == nonzero(expected), (rows, rhs)
-        assert all(type(v) is Fraction and v for v in (solution or {}).values())
         shapes["zero rows"] += any(not any(row) for row in rows)
         shapes["duplicate rows"] += len(set(map(tuple, rows))) < m
         shapes["free variables"] += expected is not None and any(not any(col) for col in zip(*rows))
@@ -131,7 +147,8 @@ def test_solve_affine_matches_gauss_jordan():
 
 def fraction_solve_affine(rows, rhs):
     """The sparse elimination over Q that solve_affine replaced: every pivot
-    row is divided by its leading entry, so the arithmetic is on Fractions."""
+    row is divided by its leading entry, so the arithmetic is on Fractions.
+    The solution is returned in solve_affine's shape, (numerators, den)."""
     pivots = {}
     for row, b in zip(rows, rhs):
         entries = {c: v for c, v in row.items() if v}
@@ -152,8 +169,9 @@ def fraction_solve_affine(rows, rhs):
     for c in sorted(pivots, reverse=True):
         rest, b = pivots[c]
         if value := b - sum(v * solution[k] for k, v in rest.items() if k in solution):
-            solution[c] = value
-    return solution
+            solution[c] = Fraction(value)
+    den = math.lcm(*[v.denominator for v in solution.values()])
+    return {c: v.numerator * (den // v.denominator) for c, v in solution.items()}, den
 
 
 def test_solve_affine_matches_the_fraction_elimination():
@@ -187,10 +205,9 @@ def test_solve_affine_matches_the_fraction_elimination():
             rhs[rng.randrange(m)] += draw() or 1
         if rng.random() < 0.5:
             rhs = [int(b) if b.denominator == 1 else b for b in rhs]
-        expected = fraction_solve_affine(rows, rhs)
-        solution = solve_affine(rows, rhs)
+        expected = as_fractions(fraction_solve_affine(rows, rhs))
+        solution = as_fractions(solve_affine(rows, rhs))
         assert solution == expected, (rows, rhs)
-        assert all(type(v) is F and v for v in (solution or {}).values())
         if solution is None:
             seen["inconsistent"] += 1
         else:

@@ -225,7 +225,8 @@ def full_system_decide(r, S):
     solution = membership.solve_affine(rows, rhs)
     if solution is None:
         return MembershipVerdict.not_member(LINEAR_SYSTEM_INFEASIBLE)
-    return MembershipVerdict.member(LaurentPolynomial(1, {(0,): 1, **{(k + 1,): c for k, c in solution.items()}}))
+    numerators, den = solution
+    return MembershipVerdict.member(LaurentPolynomial(1, {(0,): 1, **{(k + 1,): Fraction(n, den) for k, n in numerators.items()}}))
 
 
 def test_g_row_verdicts_and_certificates_match_the_full_system():
@@ -422,6 +423,56 @@ def test_polynomial_x_is_not_in_reciprocal_complement_of_nn():
 
 def test_reciprocal_of_x_is_member_over_nn():
     assert in_reciprocal_complement(RF("1/X"), N).is_member
+
+
+def test_sigma_side_decision_matches_decide_on_sigma_map():
+    # in_reciprocal_complement reads sigma(r)'s low terms off r's top terms
+    # and never builds sigma(r); its verdict must be that of deciding
+    # sigma_map(r), certificate term for term.  Inputs: sums and products of
+    # two reciprocals over <4,7,9>, 1/(c X^s) + 1/(c1 + c2 X^t) over
+    # <43,47,53> and <101,113,127>, seeded Laurent fractions, zero,
+    # constants, poles on either side, S = N (F' = -1), and a degree far
+    # above F'.
+    rng = random.Random(47)
+    coeffs = (1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2))
+    small = list(S479.members_up_to(12))[1:]
+
+    def denominator():
+        return LaurentPolynomial(1, {(m,): rng.choice(coeffs) for m in rng.sample(small, rng.randint(1, 3))})
+
+    cases = []
+    for _ in range(100):
+        a, b = (normalize_reciprocal_sum([denominator(), denominator()]) for _ in range(2))
+        cases += [(a + b, S479), (a * b, S479)]
+    for gens in [(43, 47, 53), (101, 113, 127)]:
+        S = ns_create(gens)
+        members = list(S.members_up_to(2 * S.multiplicity))[1:]
+        for _ in range(10):
+            c1, c2 = rng.sample((1, 2), 2)
+            monomial = LaurentPolynomial(1, {(rng.choice(members),): rng.choice((1, -1, 2, -2))})
+            binomial = LaurentPolynomial(1, {(0,): c1 * rng.choice((1, -1)), (rng.choice(members),): c2 * rng.choice((1, -1))})
+            cases.append((normalize_reciprocal_sum([monomial, binomial]), S))
+    for _ in range(200):
+        S = rng.choice([S479, N, ns_create([3, 5])])
+        cases.append((RationalFunction(random_poly(rng, span=8), random_nonzero_poly(rng, span=8)), S))
+    texts = ["0", "1", "-3/7", "X", "1/X", "X^2/(1 + X)", "(1 + X)/X^3", "1/(X^4 - X^5)", "(X^30000 + 1)/(X + 2)", "(X + 2)/(X^30000 + 1)", "X^5/(X^30000 - 3)"]
+    cases += [(RF(text), S) for text in texts for S in (S479, N, ns_create([101, 113, 127]))]
+    seen = {MEMBER: 0, POLE_AT_ORIGIN: 0, LINEAR_SYSTEM_INFEASIBLE: 0, "nontrivial": 0, "N": 0}
+    for r, S in cases:
+        expected = decide_membership(sigma_map(r), S)
+        verdict = in_reciprocal_complement(r, S)
+        assert verdict == expected, (r, S.generators)
+        if verdict.is_member:
+            terms = [(e, type(c), c) for e, c in verdict.certificate.terms()]
+            assert terms == [(e, type(c), c) for e, c in expected.certificate.terms()], (r, S.generators)
+        seen[verdict.obstruction or verdict.status] += 1
+        seen["nontrivial"] += verdict.is_member and len(verdict.certificate) > 1
+        seen["N"] += S is N
+    assert min(seen.values()) >= 40, seen
+    rank2 = RationalFunction(LaurentPolynomial.one(2), LaurentPolynomial(2, {(0, 0): 1, (1, 1): 1}))
+    for decide in (decide_membership, in_reciprocal_complement):
+        with pytest.raises(ValueError, match="rank 1"):
+            decide(rank2, S479)
 
 
 def test_oracle_agreement_on_random_sums():

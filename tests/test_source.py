@@ -184,3 +184,23 @@ def test_ratfunc_has_one_rank_test():
     methods = [node for node in cls.body if isinstance(node, ast.FunctionDef)]
     found = [line for function in methods + functions for line in tests(function)]
     assert len(methods) > 20 and [line.split(":")[0] for line in found] == ["_normal_form"], found
+
+
+def test_membership_builds_no_sigma_image_and_solve_affine_no_fraction():
+    # in_reciprocal_complement reads sigma(r)'s low terms off r's integer
+    # form, so membership.py never calls sigma_map; solve_affine hands back
+    # integer numerators over one denominator, so it builds no Fraction.
+    def calls(node, name):
+        return [
+            f"{call.lineno}"
+            for call in ast.walk(node)
+            if isinstance(call, ast.Call)
+            and name in (getattr(call.func, "id", None), getattr(call.func, "attr", None))
+        ]
+
+    membership = ast.parse((SOURCE / "membership.py").read_text(encoding="utf-8"))
+    linsolve = ast.parse((SOURCE / "linsolve.py").read_text(encoding="utf-8"))
+    (solve,) = [node for node in linsolve.body if isinstance(node, ast.FunctionDef) and node.name == "solve_affine"]
+    assert calls(membership, "solve_affine") and calls(linsolve, "Fraction")  # the walk sees calls
+    assert calls(membership, "sigma_map") == [], calls(membership, "sigma_map")
+    assert calls(solve, "Fraction") == [], calls(solve, "Fraction")
