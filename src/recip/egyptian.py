@@ -11,7 +11,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .laurent import LaurentPolynomial, as_fraction
+from .laurent import LaurentPolynomial, LimitExceeded, as_fraction
+
+# A greedy denominator may have at most this many decimal digits, the most
+# that Python writes as text by default, so every answer can be printed.
+# Greedy denominators grow doubly exponentially (d_(i+1) > d_i^2 - d_i), so
+# the limit also bounds the steps.
+MAX_DENOMINATOR_DIGITS = 4_300
+_DENOMINATOR_BOUND = 10**MAX_DENOMINATOR_DIGITS
 
 
 @dataclass(frozen=True)
@@ -35,7 +42,9 @@ def greedy_egyptian(r: Fraction | int) -> EgyptianRepresentation:
 
     Repeatedly subtracts the largest unit fraction not exceeding the
     remainder.  The remainder's numerator drops strictly every step, so this
-    terminates, and the output re-sums exactly to r.
+    terminates, and the output re-sums exactly to r.  A denominator of more
+    than ``MAX_DENOMINATOR_DIGITS`` digits raises LimitExceeded as soon as
+    it is found.
     """
     remainder = as_fraction(r)
     if not 0 < remainder <= 1:
@@ -43,6 +52,8 @@ def greedy_egyptian(r: Fraction | int) -> EgyptianRepresentation:
     denominators = []
     while remainder:
         d = -(-remainder.denominator // remainder.numerator)  # ceil(1/remainder)
+        if d >= _DENOMINATOR_BOUND:
+            raise LimitExceeded(f"a denominator exceeds the limit of {MAX_DENOMINATOR_DIGITS} digits")
         denominators.append(d)
         remainder -= Fraction(1, d)
     return EgyptianRepresentation(tuple(denominators))

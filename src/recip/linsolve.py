@@ -6,8 +6,9 @@ of columns) and Fourier-Motzkin elimination with witness back-substitution
 for linear inequality feasibility (used by the monoid stratum checks), on
 Fractions.
 
-Affine systems are sparse in and out: a row is a ``{column: coefficient}``
-mapping whose absent columns are zero, and a solution is a
+Affine systems are sparse in and out, and on ints only: a row is a
+``{column: coefficient}`` mapping of nonzero ints whose absent columns are
+zero, a right-hand side is an int, and a solution is a
 ``{column: numerator}`` dict holding only the nonzero values, over one
 common denominator.  Elimination and back-substitution run on ints, and
 the affine solver builds no Fraction.
@@ -23,22 +24,19 @@ Row = tuple[Fraction, ...]
 Constraint = tuple[Row, Fraction]  # coefficients a, bound b: a . x <= b
 
 
-def solve_affine(
-    rows: Sequence[Mapping[int, int | Fraction]], rhs: Sequence[int | Fraction]
-) -> tuple[dict[int, int], int] | None:
+def solve_affine(rows: Sequence[Mapping[int, int]], rhs: Sequence[int]) -> tuple[dict[int, int], int] | None:
     """One exact solution of rows . x = rhs, or None if there is none.
 
     The solution is (numerators, den): x_c = numerators[c] / den, where
     numerators holds the nonzero values only, den > 0 is their least common
     denominator and gcd(den, *numerators) = 1.
 
-    Each row maps columns to coefficients (absent columns are zero).
-    Entries may be ints or Fractions.  Elimination runs over Z: a row
-    holding Fractions is first scaled by the lcm of its denominators, and a
-    row is reduced against a pivot with leading entry l by
-    cross-multiplying, l*row - a*pivot (both scaled down by gcd(l, a)).
-    Scaling a row by a nonzero int keeps its zero pattern, so the pivot
-    columns and the solution are those of elimination over Q.
+    Each row maps columns to nonzero ints (absent columns are zero), and
+    each right-hand side is an int.  The rows are copied, never changed.
+    Elimination runs over Z: a row is reduced against a pivot with leading
+    entry l by cross-multiplying, l*row - a*pivot (both scaled down by
+    gcd(l, a)).  Scaling a row by a nonzero int keeps its zero pattern, so
+    the pivot columns and the solution are those of elimination over Q.
 
     Every row is reduced against the pivots found so far, always on its
     smallest column, and kept primitive with a positive leading entry when
@@ -46,13 +44,12 @@ def solve_affine(
     variables set to zero, so the answer is deterministic; it equals
     Gauss-Jordan's, since the pivot columns do not depend on elimination
     order.  Back-substitution keeps every value found so far over one
-    common denominator, raised only as far as the next value needs.
+    common denominator, raised only as far as the next value needs, and
+    reads a pivot's other entries only once some value is nonzero.
     """
     pivots: dict[int, tuple[int, dict[int, int], int]] = {}  # column -> (lead, rest of row, rhs)
     for row, b in zip(rows, rhs):
-        entries = {c: v for c, v in row.items() if v}
-        if type(sum(entries.values(), b)) is not int:  # a Fraction in a sum makes it one
-            entries, b = _cleared(entries, b)
+        entries = dict(row)
         while entries and (c := min(entries)) in pivots:
             a = entries.pop(c)
             lead, rest, pivot_b = pivots[c]
@@ -84,9 +81,10 @@ def solve_affine(
     for c in sorted(pivots, reverse=True):
         lead, rest, b = pivots[c]
         num = b * den  # x_c = num / (lead * den)
-        for k, v in rest.items():
-            if k in numerators:
-                num -= v * numerators[k]
+        if numerators:
+            for k, v in rest.items():
+                if k in numerators:
+                    num -= v * numerators[k]
         if num:  # den grows by the least factor s that makes x_c * den * s an int
             s = lead // math.gcd(num, lead)
             if s != 1:
@@ -94,15 +92,6 @@ def solve_affine(
                 numerators = {k: n * s for k, n in numerators.items()}
             numerators[c] = num * s // lead
     return numerators, den
-
-
-def _cleared(entries: dict[int, int | Fraction], b: int | Fraction) -> tuple[dict[int, int], int]:
-    """A row's entries and right-hand side times the lcm of their denominators."""
-    scale = math.lcm(b.denominator, *[v.denominator for v in entries.values()])
-    return (
-        {c: v.numerator * (scale // v.denominator) for c, v in entries.items()},
-        b.numerator * (scale // b.denominator),
-    )
 
 
 def _normalized(coeffs: tuple[Fraction, ...], bound: Fraction) -> Constraint:

@@ -57,6 +57,8 @@ NOT_MEMBER = "NotMember"
 POLE_AT_ORIGIN = "PoleAtOrigin"
 LINEAR_SYSTEM_INFEASIBLE = "LinearSystemInfeasible"
 
+_ONE = Fraction(1)  # h_0, the constant term of every certificate
+
 
 @dataclass(frozen=True)
 class MembershipVerdict:
@@ -131,8 +133,10 @@ def _decide(f: dict[int, int], g: dict[int, int], sprime: NumericalSemigroup) ->
     if any(at_gaps.values()):
         return MembershipVerdict.not_member(LINEAR_SYSTEM_INFEASIBLE)
     # solve_affine's numerators are nonzero, so h needs no validation.
-    h = LaurentPolynomial._raw(1, {(0,): Fraction(1), **{(k + 1,): Fraction(n, den) for k, n in numerators.items()}})
-    return MembershipVerdict.member(h)
+    terms = {(0,): _ONE}
+    for k, n in numerators.items():
+        terms[k + 1,] = Fraction(n, den)
+    return MembershipVerdict.member(LaurentPolynomial._raw(1, terms))
 
 
 def verify_certificate(

@@ -40,6 +40,7 @@ conductor.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -119,6 +120,9 @@ def ns_create(gens: Iterable[int]) -> NumericalSemigroup:
     return _from_bits(bits, size)
 
 
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")  # the digits of bin() as false and true bytes
+
+
 def _from_bits(bits: int, size: int) -> NumericalSemigroup:
     """The semigroup whose members below ``size`` are the set bits of
     ``bits`` and which holds every n >= size."""
@@ -133,7 +137,8 @@ def _from_bits(bits: int, size: int) -> NumericalSemigroup:
     while unreached := everything & ~reached:  # its lowest bit is the next generator
         generators.append((unreached & -unreached).bit_length() - 1)
         reached = _close(reached, generators[-1], window)
-    gaps = [n for n in range(conductor) if gap_bits >> n & 1]
+    # bin() writes the bits highest first, so reversed, character n is bit n.
+    gaps = list(itertools.compress(range(conductor), bin(gap_bits)[:1:-1].encode().translate(_BIT_BYTES)))
     return NumericalSemigroup(tuple(generators), tuple(gaps), conductor - 1, conductor, members)
 
 

@@ -341,6 +341,16 @@ def test_egyptian():
     assert run_json("egyptian", "4/5") == {"denominators": [2, 4, 20]}
 
 
+def test_egyptian_past_the_digit_limit_exits_two():
+    # Each of these reaches a denominator of more than 4,300 digits, which
+    # Python will not write as text: the command stops there with one line,
+    # where it used to print a traceback from the output step.
+    for value in ("999999999999/1000000000000", "800963157/803241505"):
+        assert run_cli("egyptian", value) == (2, "", "error: a denominator exceeds the limit of 4300 digits\n")
+    # Its last denominator has 4,288 digits and still prints.
+    assert len(str(run_json("egyptian", "209797802/294325645")["denominators"][-1])) == 4288
+
+
 def test_oracle_witness_and_seed_echo():
     payload = run_json(
         "oracle",

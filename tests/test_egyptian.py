@@ -3,17 +3,19 @@ reciprocals."""
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 from recip.egyptian import (
+    MAX_DENOMINATOR_DIGITS,
     EgyptianRepresentation,
     algebraic_reciprocal,
     greedy_egyptian,
     is_egyptian_element,
 )
-from recip.laurent import LaurentPolynomial, from_dense, poly_divmod
+from recip.laurent import LaurentPolynomial, LimitExceeded, from_dense, poly_divmod
 from recip.membership import decide_membership
 from recip.parse import parse_poly
 from recip.ratfunc import sigma_of_reciprocal
@@ -71,6 +73,20 @@ def test_exhaustive_small_denominators():
             assert all(a < b for a, b in zip(rep.denominators, rep.denominators[1:]))
             _, numerators = greedy_steps(Fraction(p, q))
             assert all(a > b for a, b in zip(numerators, numerators[1:]))
+
+
+def test_denominator_digits_are_limited():
+    # The limit is the longest int Python writes as text by default, so every
+    # decomposition that printed before still does: 209797802/294325645 ends
+    # on a denominator of 4,288 digits.  800963157/803241505 reaches one of
+    # 4,305 and 999999999999/1000000000000 one past the limit as well.
+    assert MAX_DENOMINATOR_DIGITS == sys.int_info.default_max_str_digits
+    rep = greedy_egyptian(Fraction(209797802, 294325645))
+    assert rep.value() == Fraction(209797802, 294325645)
+    assert len(str(rep.denominators[-1])) == 4288
+    for p, q in ((800963157, 803241505), (999999999999, 10**12)):
+        with pytest.raises(LimitExceeded, match="4300 digits"):
+            greedy_egyptian(Fraction(p, q))
 
 
 def test_representation_validation():

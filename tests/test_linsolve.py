@@ -48,6 +48,19 @@ def sparse(rows):
     return [dict(enumerate(row)) for row in rows]
 
 
+def cleared(rows, rhs):
+    """A system with Fraction or zero entries as the one solve_affine takes:
+    each row and its right-hand side times the lcm of their denominators,
+    with the zero entries dropped, so the solutions are the same."""
+    int_rows, int_rhs = [], []
+    for row, b in zip(rows, rhs):
+        entries, b = {c: F(v) for c, v in row.items() if v}, F(b)
+        scale = math.lcm(b.denominator, *[v.denominator for v in entries.values()])
+        int_rows.append({c: v.numerator * (scale // v.denominator) for c, v in entries.items()})
+        int_rhs.append(b.numerator * (scale // b.denominator))
+    return int_rows, int_rhs
+
+
 def nonzero(solution):
     """A dense Gauss-Jordan solution as {column: nonzero value}."""
     return None if solution is None else {c: v for c, v in enumerate(solution) if v}
@@ -68,24 +81,24 @@ def as_fractions(result):
 
 def test_solve_affine_unique():
     # x + y = 3, x - y = 1  ->  x = 2, y = 1
-    assert solve_affine(sparse([[F(1), F(1)], [F(1), F(-1)]]), [F(3), F(1)]) == ({0: 2, 1: 1}, 1)
+    assert solve_affine(*cleared(sparse([[F(1), F(1)], [F(1), F(-1)]]), [F(3), F(1)])) == ({0: 2, 1: 1}, 1)
 
 
 def test_solve_affine_inconsistent():
-    assert solve_affine(sparse([[F(1), F(1)], [F(2), F(2)]]), [F(1), F(3)]) is None
+    assert solve_affine(*cleared(sparse([[F(1), F(1)], [F(2), F(2)]]), [F(1), F(3)])) is None
     assert solve_affine([{0: 2, 1: 2}, {0: 1, 1: 1}], [1, 1]) is None
 
 
 def test_solve_affine_free_variables_default_to_zero():
-    solution = solve_affine(sparse([[F(1), F(1), F(0)]]), [F(5)])
+    solution = solve_affine(*cleared(sparse([[F(1), F(1), F(0)]]), [F(5)]))
     assert solution == ({0: 5}, 1)
 
 
 def test_solve_affine_sparse_rows_and_empty_system():
     # Columns are labels, not positions: nothing is allocated up to 10^9.
     rows = [{10**9: F(2), 3: F(1)}, {3: F(1)}, {}]
-    assert solve_affine(rows, [F(8), F(2), F(0)]) == ({3: 2, 10**9: 3}, 1)
-    assert solve_affine([{}], [F(1)]) is None
+    assert solve_affine(*cleared(rows, [F(8), F(2), F(0)])) == ({3: 2, 10**9: 3}, 1)
+    assert solve_affine(*cleared([{}], [F(1)])) is None
     assert solve_affine([], []) == ({}, 1)
 
 
@@ -102,6 +115,26 @@ def test_solve_affine_on_ints_gives_exact_fractions():
     assert rows == [{0: 2, 1: 1}, {0: 1, 1: 3, 2: 1}, {2: 3}]  # the input is left as it was
 
 
+def test_solve_affine_leaves_its_rows_unchanged():
+    # Elimination pops, scales and reduces its own copy of each row; the
+    # caller's rows and right-hand sides stay as they were, also when rows
+    # are reduced against earlier pivots, scaled, or found inconsistent.
+    rng = random.Random(11)
+    reduced = 0
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        rows = [
+            {c: rng.choice([-3, -2, -1, 1, 2, 3, 10**12]) for c in rng.sample(range(n), rng.randint(1, n))}
+            for _ in range(rng.randint(1, 6))
+        ]
+        rhs = [rng.randint(-5, 5) for _ in rows]
+        before = ([dict(row) for row in rows], list(rhs))
+        solve_affine(rows, rhs)
+        assert (rows, rhs) == before
+        reduced += len({min(row) for row in rows}) < len(rows)
+    assert reduced >= 100, reduced
+
+
 def test_solve_affine_random_consistent_systems():
     rng = random.Random(5)
     for _ in range(50):
@@ -110,7 +143,7 @@ def test_solve_affine_random_consistent_systems():
         target = [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
         rows = [[F(rng.randint(-3, 3)) for _ in range(n)] for _ in range(m)]
         rhs = [sum((a * x for a, x in zip(row, target)), F(0)) for row in rows]
-        solution = as_fractions(solve_affine(sparse(rows), rhs))
+        solution = as_fractions(solve_affine(*cleared(sparse(rows), rhs)))
         assert solution is not None
         for row, b in zip(rows, rhs):
             assert sum((a * solution.get(c, 0) for c, a in enumerate(row)), F(0)) == b
@@ -136,7 +169,7 @@ def test_solve_affine_matches_gauss_jordan():
         if m and rng.random() < 0.4:
             rhs[rng.randrange(m)] += rng.randint(1, 3)
         expected = gauss_jordan(rows, rhs)
-        solution = as_fractions(solve_affine(sparse(rows), rhs))
+        solution = as_fractions(solve_affine(*cleared(sparse(rows), rhs)))
         assert solution == nonzero(expected), (rows, rhs)
         shapes["zero rows"] += any(not any(row) for row in rows)
         shapes["duplicate rows"] += len(set(map(tuple, rows))) < m
@@ -178,6 +211,8 @@ def test_solve_affine_matches_the_fraction_elimination():
     # Elimination over Z must give exactly the solution of elimination over
     # Q, on int, Fraction and 10^12-sized entries, with dependent rows
     # (multiples and sums of earlier rows) and inconsistent right-hand sides.
+    # The elimination over Q takes the rows as drawn, Fractions and zeros
+    # included; solve_affine takes them cleared.
     rng = random.Random(15)
     entries = {
         "int": lambda: rng.randint(-4, 4),
@@ -206,7 +241,7 @@ def test_solve_affine_matches_the_fraction_elimination():
         if rng.random() < 0.5:
             rhs = [int(b) if b.denominator == 1 else b for b in rhs]
         expected = as_fractions(fraction_solve_affine(rows, rhs))
-        solution = as_fractions(solve_affine(rows, rhs))
+        solution = as_fractions(solve_affine(*cleared(rows, rhs)))
         assert solution == expected, (rows, rhs)
         if solution is None:
             seen["inconsistent"] += 1

@@ -143,6 +143,23 @@ def test_sparse_system_matches_dense_oracle():
     assert min(seen.values()) >= 100, seen
 
 
+def test_decide_hands_solve_affine_a_list(monkeypatch):
+    # bench/tracer.py reads len(rows) of every solve, so both entry points
+    # must pass the gap rows of g as a list, not as a generator.
+    solve = membership.solve_affine
+    seen = []
+
+    def recording(rows, rhs):
+        seen.append(type(rows))
+        return solve(rows, rhs)
+
+    monkeypatch.setattr(membership, "solve_affine", recording)
+    for text in ("1/(1 - X)", "(1 + X^4)/(2 - X^7)", "X^5/(X^9 + 3)", "1/(1 + X - 2*X^9)"):
+        decide_membership(RF(text), S479)
+        in_reciprocal_complement(RF(text), S479)
+    assert len(seen) == 8 and set(seen) == {list}, seen
+
+
 def test_certificates_match_the_fraction_solve(monkeypatch):
     # The certificate system solved over Z gives the verdicts and the
     # certificates of elimination over Q: on sums and products of two
