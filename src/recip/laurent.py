@@ -17,22 +17,25 @@ Z is a sparse map {exponent: int}: the exponent is a plain int in rank 1 and
 a ``Vector`` (an int tuple that adds and subtracts by coordinates) above.
 ``int_form`` turns a polynomial into one (with a common denominator),
 ``int_product_sum`` multiplies and adds them, ``int_power`` raises one to a
-power, ``exponent_corner`` reads the coordinatewise least or greatest
-exponent, and ``from_int_form`` builds the Fractions back.
+power (``LaurentPolynomial.__pow__`` runs on it too), ``exponent_corner``
+reads the coordinatewise least or greatest exponent, and ``from_int_form``
+builds the Fractions back.
 Their gcd, ``int_gcd``, takes rank-1 maps only.  It is the heuristic gcd of
 Char, Geddes and Gonnet (one integer gcd of two values, read back in base
 xi and checked by exact division, which also gives the cofactors); it
-answers almost every call, and Euclid's algorithm over Q is the fallback
-when it gives up.  The gcd builds dense coefficient lists only after its
-``MAX_DEGREE`` check, and only to divide by a candidate; ``poly_gcd`` is
-the same gcd on ``LaurentPolynomial``s.
+answers almost every call.  When it gives up, Euclid's algorithm over Q
+answers, with each remainder divided by its content (the one Fraction
+content routine, which ``LaurentPolynomial.content`` uses too), so that its
+coefficients stay coprime integers.  The gcd builds dense coefficient lists
+only after its ``MAX_DEGREE`` check, and only to divide by a candidate;
+``poly_gcd`` is the same gcd on ``LaurentPolynomial``s.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Collection, Iterable, Iterator, Mapping, Union
 
 Exponent = tuple[int, ...]
 Scalar = Union[int, Fraction]
@@ -40,10 +43,12 @@ Scalar = Union[int, Fraction]
 _ZERO = Fraction(0)
 
 # The rank-1 gcd and the dense helpers below refuse degrees above this.
-# Euclid's gcd, only the fallback of the heuristic gcd, takes about 1.3 s
-# and 76 MB on X^30000 + 1 and X + 2 (2-vCPU VM), because its remainders
-# carry coefficients up to 2^30000; its time and memory grow about
-# quadratically in the degree.
+# Euclid's gcd, only the fallback of the heuristic gcd, takes about 0.8 s
+# and 60 MB on X^30000 + 1 and X + 2 (2-vCPU VM): the one remainder carries
+# coefficients up to 2^30000 before it is made primitive, and that cost
+# grows about quadratically in the degree.  Primitive remainders keep a
+# dense pair cheap: a crafted degree-100 pair that defeats the heuristic
+# takes 0.09 s (7.6 s when the remainders kept their Q coefficients).
 MAX_DEGREE = 30_000
 
 # The rank of a parsed expression, of kplusm's variables and of a lex
@@ -71,6 +76,17 @@ def as_fraction(value: Scalar) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+
+
+def _content(coeffs: Collection[Fraction]) -> Fraction:
+    """The gcd of the numerators over the lcm of the denominators: the
+    positive c for which the coeffs / c are coprime integers, or 0 when
+    every coefficient is 0."""
+    # Starred arguments are lists, never generators: CPython builds a
+    # generator's argument tuple at a guessed size and then resizes it, so
+    # the tuple is freed to another size's free list, and over many calls
+    # the free lists of every size fill with idle tuples.
+    return Fraction(math.gcd(*[c.numerator for c in coeffs]), math.lcm(*[c.denominator for c in coeffs]))
 
 
 class LaurentPolynomial:
@@ -184,15 +200,7 @@ class LaurentPolynomial:
 
         Returns 0 for the zero polynomial.
         """
-        if not self._terms:
-            return _ZERO
-        # Starred arguments are lists, never generators: CPython builds a
-        # generator's argument tuple at a guessed size and then resizes it,
-        # so the tuple is freed to another size's free list, and over many
-        # calls the free lists of every size fill with idle tuples.
-        num = math.gcd(*[c.numerator for c in self._terms.values()])
-        den = math.lcm(*[c.denominator for c in self._terms.values()])
-        return Fraction(num, den)
+        return _content(self._terms.values())
 
     def signed_content(self) -> Fraction:
         """The content signed like the lex-max coefficient, so that
@@ -271,16 +279,10 @@ class LaurentPolynomial:
     def __pow__(self, exponent: int) -> "LaurentPolynomial":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError("polynomial powers must be nonnegative integers")
-        result = LaurentPolynomial.one(self.rank)
-        base = self
-        k = exponent
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
+        if exponent == 0:
+            return LaurentPolynomial.one(self.rank)
+        d, f = int_form(self)
+        return from_int_form(int_power(f, exponent), 1, d**exponent, self.rank)
 
     def scale(self, value: Scalar) -> "LaurentPolynomial":
         value = as_fraction(value)
@@ -641,13 +643,15 @@ def _quotient(f: dict[int, int], d: list[int]) -> dict[int, int] | None:
 def _euclid_gcd(
     f: dict[int, int], g: dict[int, int]
 ) -> tuple[dict[int, int], dict[int, int], dict[int, int]]:
-    """``int_gcd``'s (h, f/h, g/h) by Euclid's algorithm over Q."""
+    """``int_gcd``'s (h, f/h, g/h) by Euclid's algorithm over Q.  Each
+    remainder is divided by its content, so its coefficients stay coprime
+    integers instead of growing as Euclid's do over Q."""
     x, y = dense_coeffs(from_int_form(f)), dense_coeffs(from_int_form(g))
     a, b = x, y
     while b:
-        a, b = b, _dense_divmod(a, b)[1]
+        remainder = _dense_divmod(a, b)[1]
+        content = _content(remainder)
+        a, b = b, [c / content for c in remainder]
     _, h = int_primitive(int_form(from_dense(a))[1])
-    if h == {0: 1}:
-        return h, f, g
     divisor = dense_coeffs(from_int_form(h))
     return h, *[int_form(from_dense(_dense_divmod(z, divisor)[0]))[1] for z in (x, y)]

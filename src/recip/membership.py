@@ -280,9 +280,10 @@ def brute_force_witness(
        high(den)/high(num), so it is computed, not searched for, and needs
        no gcd even when r is not reduced;
     2. multisets of 2..max_terms monomial denominators in lexicographic
-       order, up to 60,000 checks.  Building each candidate's sum dominates
-       once the screen rejects it: about 5 s at max_terms 3 and 26 s at 16
-       against r = 1/(1+X+X^2);
+       order, up to 60,000 checks, only when den(r) is a monomial.  Such a
+       sum is a Laurent polynomial, and a fraction in lowest terms is one
+       only when its denominator is a monomial; r from the public
+       constructors is in lowest terms, and this stage assumes it;
     3. ``random_trials`` seeded random candidates with up to three support
        points per denominator.
 
@@ -309,14 +310,16 @@ def brute_force_witness(
         }
         if all(e in members and c in pool for (e,), c in ends.items()):
             single.append((LaurentPolynomial(1, ends),))
-    # Stage 2: multisets of monomial denominators.  The first 60,000
-    # multisets use only the first 60,000 monomials.
-    pairs = itertools.islice(itertools.product(members, pool), _ENUMERATION_BUDGET)
-    monomials = [LaurentPolynomial(1, {(m,): c}) for m, c in pairs]
-    combos = itertools.chain.from_iterable(
-        itertools.combinations_with_replacement(monomials, size)
-        for size in range(2, max_terms + 1)
-    )
+    # Stage 2: multisets of monomial denominators, for a monomial den(r)
+    # only.  The first 60,000 multisets use only the first 60,000 monomials.
+    combos = ()
+    if len(r.den) == 1:
+        pairs = itertools.islice(itertools.product(members, pool), _ENUMERATION_BUDGET)
+        monomials = [LaurentPolynomial(1, {(m,): c}) for m, c in pairs]
+        combos = itertools.chain.from_iterable(
+            itertools.combinations_with_replacement(monomials, size)
+            for size in range(2, max_terms + 1)
+        )
     # Stage 3: seeded random candidates.
     rng = random.Random(seed)
     draws = (_random_denominators(rng, members, pool, max_terms) for _ in range(random_trials))

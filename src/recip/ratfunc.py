@@ -295,9 +295,6 @@ class ReciprocalSum:
     def rank(self) -> int:
         return self.denominators[0].rank
 
-    def value(self) -> RationalFunction:
-        return normalize_reciprocal_sum(self)
-
 
 def normalize_reciprocal_sum(
     sum_: ReciprocalSum | Iterable[LaurentPolynomial],

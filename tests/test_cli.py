@@ -11,6 +11,8 @@ from pathlib import Path
 
 from recip.cli import main
 
+from golden.make_cli import crafted_text
+
 
 def run_cli(*argv):
     out, err = io.StringIO(), io.StringIO()
@@ -393,13 +395,47 @@ def test_oracle_single_denominator_is_computed():
 
 
 def test_oracle_screens_candidates_by_end_terms():
-    # Each of the 2,415 enumerated pairs is rejected by its lowest and highest
-    # terms before the products with the 101-term den(r) (4.5 s in full).
+    # den(r) is not a monomial, so no multiset of monomial denominators is
+    # tried; before that rule, each of the 2,415 enumerated pairs was
+    # rejected by its lowest and highest terms (4.5 s without the screen).
     start = time.perf_counter()
     payload = run_json("oracle", "--gens", "4,7,9", "--expr", "1/(X+1)^100", "--max-terms", "2",
                        "--max-degree", "30", "--coeffs", "1,-1,2", "--trials", "0")
     assert time.perf_counter() - start < 1.0
     assert payload == {"seed": 0, "witness": None}
+
+
+def test_oracle_screens_random_candidates_by_end_terms():
+    # 8,192 random candidates against the 101-term den(r): 1.1 s with the
+    # end-term screen, 19 s when every candidate is multiplied out (2-vCPU VM).
+    start = time.perf_counter()
+    payload = run_json("oracle", "--gens", "4,7,9", "--expr", "1/(X+1)^100", "--max-terms", "3",
+                       "--max-degree", "30000", "--coeffs", "1,-1,2", "--trials", "8192")
+    assert time.perf_counter() - start < 4.0
+    assert payload == {"seed": 0, "witness": None}
+
+
+def test_oracle_tries_monomial_sums_only_for_a_monomial_denominator():
+    # A sum of monomial reciprocals is a Laurent polynomial, which r is not:
+    # the 60,000 multisets took 17-19 s (2-vCPU VM).
+    start = time.perf_counter()
+    code, out, err = run_cli("oracle", "--gens", "1", "--expr", "1/(1+X+X^2)", "--coeffs", "1",
+                             "--trials", "0", "--max-terms", "16", "--max-degree", "5")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (0, '{"seed":0,"witness":null}\n', "")
+    # A monomial den(r), as in 1/X^a + 1/X^b, still reaches the multisets.
+    assert run_json("oracle", "--gens", "4,7,9", "--expr", "1/X^4 + 1/X^9 - 1/X^7", "--max-terms", "3",
+                    "--max-degree", "9", "--trials", "0")["witness"] == ["X^4", "-X^7", "X^9"]
+
+
+def test_member_on_a_crafted_gcd_pair_is_fast():
+    # The heuristic gcd gives up on this degree-100 pair, and Euclid over Q
+    # took 8.2 s on it (2-vCPU VM); its primitive remainders stay small.
+    text = crafted_text(100)
+    start = time.perf_counter()
+    code, out, err = run_cli("member", "--gens", "4,7,9", "--expr", text)
+    assert time.perf_counter() - start < 1.0
+    assert (code, err) == (0, "") and json.loads(out)["status"] == "NotMember"
 
 
 def test_oracle_limits_exit_two_quickly():

@@ -1,6 +1,9 @@
-"""The golden corpus: membership verdicts, certificates and S' gaps as
-written by tests/golden/make_membership.py at the commit that added it."""
+"""The golden corpora: membership verdicts, certificates and S' gaps as
+written by tests/golden/make_membership.py, and the CLI transcript written
+by tests/golden/make_cli.py, each at the commit that added it."""
 
+import difflib
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,9 +12,11 @@ from recip.membership import decide_membership, in_reciprocal_complement
 from recip.ratfunc import RationalFunction
 from recip.semigroup import derive_sprime, ns_create
 
+from golden.make_cli import transcript
 from golden.make_membership import gens_text, verdict_text
 
 CORPUS = Path(__file__).resolve().parent / "golden" / "membership.txt"
+CLI_TRANSCRIPT = CORPUS.with_name("cli.txt")
 
 
 def poly(text):
@@ -40,3 +45,13 @@ def test_membership_and_sprime_match_the_golden_corpus():
     assert not wrong, wrong[:3]
     assert counts["semigroup"] >= 30 and counts["decide"] + counts["recip"] >= 1900, counts
     assert CORPUS.stat().st_size < 300_000
+
+
+def test_cli_matches_the_golden_transcript():
+    expected = CLI_TRANSCRIPT.read_text(encoding="utf-8")
+    start = time.perf_counter()
+    found = transcript()
+    assert time.perf_counter() - start < 5.0
+    diff = difflib.unified_diff(expected.splitlines(True), found.splitlines(True), "cli.txt", "now", n=2)
+    assert found == expected, "".join(diff)[:4000]
+    assert expected.count("\n$ recip ") >= 90 and CLI_TRANSCRIPT.stat().st_size < 300_000

@@ -21,6 +21,7 @@ from recip.laurent import (
     int_form,
     int_gcd,
     int_power,
+    int_product_sum,
     poly_divmod,
     poly_gcd,
 )
@@ -28,6 +29,7 @@ from recip.laurent import (
 from recip.parse import parse_poly
 
 from conftest import random_poly
+from golden.make_cli import crafted_pair
 
 
 def test_construction_drops_zero_coefficients():
@@ -95,6 +97,33 @@ def test_pow_matches_repeated_multiplication():
     assert p**0 == 1
 
 
+def repeated_product(p: LaurentPolynomial, k: int) -> LaurentPolynomial:
+    """p**k as k multiplications, the reference for the integer-kernel power."""
+    product = LaurentPolynomial.one(p.rank)
+    for _ in range(k):
+        product = product * p
+    return product
+
+
+def test_pow_in_every_rank_matches_repeated_multiplication():
+    rng = random.Random(104)
+    for rank in (1, 2, 3):
+        for _ in range(40):
+            p = random_poly(rng, rank, span=3)
+            k = rng.randint(0, 6)
+            power = p**k
+            assert power == repeated_product(p, k), (p, k)
+            assert all(type(e) is tuple for e in power.support())
+    for rank in (1, 2):
+        zero = LaurentPolynomial.zero(rank)
+        assert zero**0 == LaurentPolynomial.one(rank)
+        assert (zero**3).is_zero() and (zero**3).rank == rank
+    p = parse_poly("1/2*X^-1 + 2/3")
+    for bad in (-1, Fraction(2), 2.0):
+        with pytest.raises(ValueError):
+            p**bad
+
+
 def test_shift_and_sigma():
     p = LaurentPolynomial(2, {(1, 2): 1, (0, -1): 3})
     assert p.shift((1, 1)).support() == ((1, 0), (2, 3))
@@ -107,6 +136,18 @@ def test_content():
     assert p.content() == Fraction(2, 9)
     assert p.scale(1 / p.content()).content() == 1
     assert LaurentPolynomial.zero(1).content() == 0
+
+
+def test_content_takes_no_int_primitive(monkeypatch):
+    # content() and signed_content() are the reference that _normal_form's
+    # int_primitive is checked against, so they must not call it.
+    def refuse(f):
+        raise AssertionError("content must not call int_primitive")
+
+    monkeypatch.setattr(laurent, "int_primitive", refuse)
+    p = LaurentPolynomial(2, {(0, 1): Fraction(-6, 5), (1, 0): Fraction(-4, 15)})
+    assert (p.content(), p.signed_content()) == (Fraction(2, 15), Fraction(-2, 15))
+    assert LaurentPolynomial.zero(2).signed_content() == 0
 
 
 def test_signed_content_contract():
@@ -358,6 +399,66 @@ def test_int_gcd_returns_the_cofactors_on_both_paths(monkeypatch):
         assert from_int_form(h) * from_int_form(g_h) == from_int_form(g)
 
 
+def rational_euclid_gcd(f, g):
+    """int_gcd's fallback as it was before its remainders were made
+    primitive: Euclid over Q, whose coefficients grow.  The reference."""
+    x, y = dense_coeffs(from_int_form(f)), dense_coeffs(from_int_form(g))
+    a, b = x, y
+    while b:
+        a, b = b, _dense_divmod(a, b)[1]
+    _, h = laurent.int_primitive(int_form(from_dense(a))[1])
+    if h == {0: 1}:
+        return h, f, g
+    divisor = dense_coeffs(from_int_form(h))
+    return h, *[int_form(from_dense(_dense_divmod(z, divisor)[0]))[1] for z in (x, y)]
+
+
+CRAFTED_COMMON = (None, {0: 1, 1: -1, 2: 1}, {0: 4, 1: 4, 2: 1})  # 1, X^2 - X + 1, (X + 2)^2
+
+
+def crafted_pairs(top: int):
+    """Crafted pairs of degree up to 25 with three seeds, and of degree 40
+    and top with one, each without and with a planted common factor."""
+    for k, seeds in ((1, 3), (2, 3), (5, 3), (12, 3), (25, 3), (40, 1), (top, 1)):
+        for seed in range(seeds):
+            for common in CRAFTED_COMMON:
+                yield crafted_pair(k, seed, common)
+
+
+def test_crafted_pairs_defeat_the_heuristic():
+    for f, g in crafted_pairs(100):
+        assert laurent._heuristic_gcd(f, g) is None, (f, g)
+
+
+def test_gcd_fallback_matches_euclid_over_q():
+    pairs = [(laurent._gcd_input(a), laurent._gcd_input(b)) for a, b in planted_pairs(28, 120)]
+    pairs = [(f, g) for f, g in pairs if f] + list(crafted_pairs(60))
+    for f, g in pairs:
+        assert laurent._euclid_gcd(f, g) == rational_euclid_gcd(f, g), (f, g)
+    assert sum(laurent._euclid_gcd(f, g)[0] != {0: 1} for f, g in pairs) >= 100
+
+
+def test_gcd_fallback_on_a_crafted_pair_is_fast():
+    # Euclid over Q took 7.6 s (2-vCPU VM): its coefficients grow to
+    # thousands of bits.  Primitive remainders keep them small.
+    for common in CRAFTED_COMMON:
+        f, g = crafted_pair(100, 0, common)
+        start = time.perf_counter()
+        h, f_h, g_h = int_gcd(f, g)
+        assert time.perf_counter() - start < 1.0
+        assert h == (common or {0: 1})
+        assert int_product_sum([(1, h, f_h)]) == f and int_product_sum([(1, h, g_h)]) == g
+
+
+def test_gcd_fallback_on_a_sparse_high_degree_pair_stays_fast():
+    # The one remainder of X^30000 + 1 by X + 2 has 30,000 bits: 0.7-0.8 s
+    # (2-vCPU VM) with and without primitive remainders.
+    f, g = laurent._gcd_input(parse_poly("X^30000 + 1")), laurent._gcd_input(parse_poly("X + 2"))
+    start = time.perf_counter()
+    assert laurent._euclid_gcd(f, g) == ({0: 1}, f, g)
+    assert time.perf_counter() - start < 2.0
+
+
 def test_int_form_round_trip():
     p = parse_poly("1/2*X^-3 - 2/3 + 5*X^4")
     d, f = int_form(p)
@@ -379,7 +480,7 @@ def test_int_power_matches_the_polynomial_power():
         p = random_poly(rng, 1, span=4)
         d, f = int_form(p)
         k = rng.randint(1, 9)
-        assert from_int_form(int_power(f, k), 1, d**k) == p**k, (p, k)
+        assert from_int_form(int_power(f, k), 1, d**k) == repeated_product(p, k), (p, k)
     # k = 0 has no map of its own: the constant 1 has an exponent of the
     # rank, which an int map does not carry.  RationalFunction handles it.
     assert int_power({}, 3) == {}
