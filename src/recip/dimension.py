@@ -21,6 +21,11 @@ base has leading index i-1.
    summands does, and a generator or family base with that index is itself
    such an element.
 
+``LexMonoid`` validation reads each generator's and family base's leading
+index once, deciding lex-positivity from it (the first nonzero coordinate
+must be positive), and keeps the indices; ``si_nonempty``,
+``dimension_report`` and the free-shift shape check read only those.
+
 ``si_witness`` still finds its explicit integer element by the exact
 search over subsets of families (Fourier-Motzkin feasibility for each
 case), so its witnesses stay as they were; it runs only on strata the
@@ -39,7 +44,7 @@ and family bases are lex-positive, so they lead at index 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .laurent import LimitExceeded, check_rank
@@ -56,10 +61,11 @@ MAX_FREE_SHIFT_RANK = 100
 
 
 def _leading_index(vector: tuple[int, ...]) -> int:
+    """The index of the first nonzero coordinate, or len(vector) if there is none."""
     for idx, value in enumerate(vector):
         if value != 0:
             return idx
-    raise ValueError("zero vector has no leading coordinate")
+    return len(vector)
 
 
 @dataclass(frozen=True)
@@ -79,21 +85,27 @@ class LexMonoid:
     rank: int
     generators: tuple[tuple[int, ...], ...] = ()
     families: tuple[ShiftFamily, ...] = ()
+    # The leading index of each generator and then of each family base, read
+    # once here; every stratum reader takes it from this field.
+    _leads: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_rank(self.rank)
-        zero = (0,) * self.rank
+        leads = []
         for g in self.generators:
             if len(g) != self.rank:
                 raise ValueError("generator rank mismatch")
-            if not tuple(g) > zero:
+            lead = _leading_index(g)
+            if lead == self.rank or g[lead] < 0:
                 raise ValueError(f"generator {g} is not lex-positive")
+            leads.append(lead)
         for family in self.families:
             if len(family.base) != self.rank:
                 raise ValueError("family base rank mismatch")
-            if not family.base > zero:
-                raise ValueError(f"family base {family.base} is not lex-positive")
             lead = _leading_index(family.base)
+            if lead == self.rank or family.base[lead] < 0:
+                raise ValueError(f"family base {family.base} is not lex-positive")
+            leads.append(lead)
             for c in family.free:
                 if not 0 <= c < self.rank:
                     raise ValueError("free coordinate out of range")
@@ -101,6 +113,7 @@ class LexMonoid:
                     raise ValueError(
                         "free coordinates must come after the base's leading coordinate"
                     )
+        object.__setattr__(self, "_leads", tuple(leads))
 
 
 @dataclass(frozen=True)
@@ -197,10 +210,6 @@ def _materialize(
     return tuple(witness)
 
 
-def _leading_indices(M: LexMonoid) -> set[int]:
-    return {_leading_index(g) for g in M.generators} | {_leading_index(f.base) for f in M.families}
-
-
 def si_nonempty(M: LexMonoid, i: int) -> bool:
     """Whether some monoid element vanishes before coordinate i and is
     positive there (1-based i).
@@ -212,7 +221,7 @@ def si_nonempty(M: LexMonoid, i: int) -> bool:
     """
     if not 1 <= i <= M.rank:
         raise ValueError(f"stratum index {i} out of range 1..{M.rank}")
-    return i - 1 in _leading_indices(M)
+    return i - 1 in M._leads
 
 
 def _free_shift_shape(M: LexMonoid) -> int | None:
@@ -220,22 +229,21 @@ def _free_shift_shape(M: LexMonoid) -> int | None:
     if M.generators or not M.families:
         return None
     pairs = set()
-    for f in M.families:
-        if len(f.free) != 1:
+    for f, lead in zip(M.families, M._leads):  # no generators, so only family leads
+        if len(f.free) != 1 or f.base[lead] != 1 or f.base.count(0) != M.rank - 1:
             return None
-        lead = _leading_index(f.base)
-        if any(v != (1 if c == lead else 0) for c, v in enumerate(f.base)):
-            return None
-        pairs.add((lead, next(iter(f.free))))
-    m = max(pairs)[0] + 1  # the pairs match only if the leads are 0 .. m - 1
-    expected = {(j, i) for j in range(m) for i in range(m, M.rank)}
-    return m if pairs == expected else None
+        pairs.add((lead, *f.free))
+    # Every lead is below m, so the pairs, all distinct, are the m * (n - m)
+    # pairs (j, i) with j < m <= i exactly when no free coordinate is below m
+    # and there are that many of them.
+    m = max(pairs)[0] + 1
+    return m if min(i for _, i in pairs) >= m and len(pairs) == m * (M.rank - m) else None
 
 
 def dimension_report(M: LexMonoid) -> DimensionReport:
     """Stratum flags plus the dimension interval and, when settled, the
     exact dimension of the reciprocal complement of the monoid algebra."""
-    leads = _leading_indices(M)  # si_nonempty's lemma, read once for every stratum
+    leads = set(M._leads)  # si_nonempty's lemma, read once for every stratum
     flags = tuple([i in leads for i in range(M.rank)])
     t = flags.count(False)
     exact: int | None = None

@@ -280,10 +280,12 @@ def brute_force_witness(
        high(den)/high(num), so it is computed, not searched for, and needs
        no gcd even when r is not reduced;
     2. multisets of 2..max_terms monomial denominators in lexicographic
-       order, up to 60,000 checks, only when den(r) is a monomial.  Such a
-       sum is a Laurent polynomial, and a fraction in lowest terms is one
-       only when its denominator is a monomial; r from the public
-       constructors is in lowest terms, and this stage assumes it;
+       order, up to 60,000 checks, only when den(r) is a monomial c X^k.
+       Such a sum is a Laurent polynomial, and a fraction in lowest terms
+       is one only when its denominator is a monomial; r from the public
+       constructors is in lowest terms, and this stage assumes it.  Such a
+       sum has at most max_terms terms, each at an exponent -m with m in S
+       up to max_degree, so the stage runs only when r's terms are so too;
     3. ``random_trials`` seeded random candidates with up to three support
        points per denominator.
 
@@ -310,10 +312,16 @@ def brute_force_witness(
         }
         if all(e in members and c in pool for (e,), c in ends.items()):
             single.append((LaurentPolynomial(1, ends),))
-    # Stage 2: multisets of monomial denominators, for a monomial den(r)
-    # only.  The first 60,000 multisets use only the first 60,000 monomials.
+    # Stage 2: multisets of monomial denominators, for a monomial den(r) =
+    # c X^k only.  Their sums have terms only at exponents -m, m in S up to
+    # max_degree, so the stage runs only when r has at most max_terms terms
+    # and k - e is such an m for each term X^e of num(r).  The first 60,000
+    # multisets use only the first 60,000 monomials.
     combos = ()
-    if len(r.den) == 1:
+    (k,), _ = next(r.den.terms())
+    if len(r.den) == 1 and len(r.num) <= max_terms and all(
+        k - e <= max_degree and S.contains(k - e) for (e,), _ in r.num.terms()
+    ):
         pairs = itertools.islice(itertools.product(members, pool), _ENUMERATION_BUDGET)
         monomials = [LaurentPolynomial(1, {(m,): c}) for m, c in pairs]
         combos = itertools.chain.from_iterable(

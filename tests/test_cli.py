@@ -428,6 +428,32 @@ def test_oracle_tries_monomial_sums_only_for_a_monomial_denominator():
                     "--max-degree", "9", "--trials", "0")["witness"] == ["X^4", "-X^7", "X^9"]
 
 
+def test_oracle_skips_monomial_sums_that_cannot_reach_r():
+    # Each den(r) is a monomial, but no sum of at most --max-terms of the
+    # 1/(c*X^m), m in S up to --max-degree, has r's terms: X^-6 and X^-7
+    # are past the degree bound, X^-5 and X^-6 at gaps of <4,7,9>, and the
+    # third r has three terms.  Without that screen, the multisets took
+    # 15.5, 6.8 and 2.3 s (subprocess, 2-vCPU VM).
+    for gens, expr, max_terms, max_degree in (
+        ("1", "1/X^6 + 1/X^7", "16", "5"),
+        ("4,7,9", "1/X^5 + 1/X^6", "16", "9"),
+        ("1", "1/X + 1/X^2 + 1/X^3", "2", "400"),
+    ):
+        start = time.perf_counter()
+        code, out, err = run_cli("oracle", "--gens", gens, "--expr", expr, "--coeffs", "1",
+                                 "--trials", "0", "--max-terms", max_terms, "--max-degree", max_degree)
+        assert time.perf_counter() - start < 1.0, expr
+        assert (code, out, err) == (0, '{"seed":0,"witness":null}\n', ""), expr
+    # At the bounds (three terms with --max-terms 3, the exponent -9 with
+    # --max-degree 9) the multisets still run and find the witness; a term
+    # too many, an exponent past --max-degree or a positive one leave none.
+    for expr, max_degree in (("1/X^4 + 1/X^9 - 1/X^7", "9"), ("1/X^4 + 1/X^9 - 1/X^7 + 1/X^11", "11"),
+                             ("1/X^4 + 1/X^9 - 1/X^10", "9"), ("X + 1/X^4", "9")):
+        witness = run_json("oracle", "--gens", "4,7,9", "--expr", expr, "--max-terms", "3",
+                           "--max-degree", max_degree, "--trials", "0")["witness"]
+        assert witness == (["X^4", "-X^7", "X^9"] if expr.endswith("7") else None), expr
+
+
 def test_member_on_a_crafted_gcd_pair_is_fast():
     # The heuristic gcd gives up on this degree-100 pair, and Euclid over Q
     # took 8.2 s on it (2-vCPU VM); its primitive remainders stay small.

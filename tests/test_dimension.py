@@ -1,5 +1,6 @@
 """Stratum emptiness, witnesses, and dimension reports for lex monoids."""
 
+import dataclasses
 import math
 import random
 import sys
@@ -183,15 +184,63 @@ def seeded_monoids(seed, count):
 
 
 def test_monoid_validation():
+    # Each check raises with its own message, generators before families.
+    cases = [
+        ({"generators": ((1, 0, 0),)}, "generator rank mismatch"),
+        ({"generators": ((0, 0),)}, "generator (0, 0) is not lex-positive"),
+        ({"generators": ((0, -1),)}, "generator (0, -1) is not lex-positive"),
+        ({"generators": ((1, 0), (-2, 5))}, "generator (-2, 5) is not lex-positive"),
+        ({"families": (ShiftFamily((1,), frozenset()),)}, "family base rank mismatch"),
+        ({"families": (ShiftFamily((0, 0), frozenset()),)}, "family base (0, 0) is not lex-positive"),
+        ({"families": (ShiftFamily((0, -3), frozenset()),)}, "family base (0, -3) is not lex-positive"),
+        ({"families": (ShiftFamily((-1, 2), frozenset()),)}, "family base (-1, 2) is not lex-positive"),
+        ({"families": (ShiftFamily((1, 0), frozenset({2})),)}, "free coordinate out of range"),
+        ({"families": (ShiftFamily((1, 0), frozenset({-1})),)}, "free coordinate out of range"),
+        # a free coordinate at or before the leading coordinate of the base
+        ({"families": (ShiftFamily((1, 0), frozenset({0})),)},
+         "free coordinates must come after the base's leading coordinate"),
+        ({"families": (ShiftFamily((0, 1), frozenset({0})),)},
+         "free coordinates must come after the base's leading coordinate"),
+        ({"generators": ((0, -1),), "families": (ShiftFamily((1,), frozenset()),)},
+         "generator (0, -1) is not lex-positive"),
+    ]
+    for kwargs, message in cases:
+        with pytest.raises(ValueError) as excinfo:
+            LexMonoid(rank=2, **kwargs)
+        assert str(excinfo.value) == message, kwargs
+
+
+def leading_index(vector):
+    return next(c for c, v in enumerate(vector) if v)
+
+
+def test_validation_keeps_every_leading_index():
+    # Generators first, then family bases, in presentation order.
+    for M in list(seeded_monoids(12, 300)) + [free_shift_monoid(7, 3), full_cone_monoid(4), NN2]:
+        expected = [leading_index(g) for g in M.generators] + [leading_index(f.base) for f in M.families]
+        assert M._leads == tuple(expected), M
+    assert LexMonoid(rank=3)._leads == ()
+
+
+def test_kept_leads_are_outside_equality_hash_and_repr():
+    M = LexMonoid(rank=3, generators=((0, 0, 2),), families=(ShiftFamily((1, 0, 0), frozenset({2})),))
+    twin = LexMonoid(rank=3, generators=((0, 0, 2),), families=(ShiftFamily((1, 0, 0), frozenset({2})),))
+    object.__setattr__(twin, "_leads", (0, 0))  # a wrong kept index changes none of them
+    assert M._leads == (2, 0) and M == twin and hash(M) == hash(twin) and repr(M) == repr(twin)
+    assert "_leads" not in repr(M)
+    assert M != LexMonoid(rank=3, generators=((0, 1, 0),), families=M.families)
+
+
+def test_replace_recomputes_the_kept_leads():
+    M = LexMonoid(rank=3, generators=((0, 0, 2),), families=(ShiftFamily((0, 1, 0), frozenset({2})),))
+    assert dataclasses.replace(M)._leads == (2, 1)
+    changed = dataclasses.replace(M, generators=((1, -1, 0), (0, 3, 0)))
+    assert changed._leads == (0, 1, 1)
+    assert dimension_report(changed).si_nonempty == (True, True, False)
     with pytest.raises(ValueError):
-        LexMonoid(rank=2, generators=((0, 0),))
-    with pytest.raises(ValueError):
-        LexMonoid(rank=2, generators=((0, -1),))
-    with pytest.raises(ValueError):
-        # free coordinate not after the leading coordinate of the base
-        LexMonoid(rank=2, families=(ShiftFamily((0, 1), frozenset({0})),))
-    with pytest.raises(ValueError):
-        LexMonoid(rank=2, families=(ShiftFamily((1, 0), frozenset({0})),))
+        dataclasses.replace(M, _leads=(0,))
+    with pytest.raises(ValueError, match="generator"):
+        dataclasses.replace(M, generators=((0, 0, -1),))
 
 
 # -- stratum checks -----------------------------------------------------------------
@@ -450,6 +499,65 @@ def test_free_shift_monoid_shapes():
                 M = LexMonoid(rank=n, families=tuple(shape))
                 expected = m if name in ("shuffled", "duplicated") else None
                 assert dimension._free_shift_shape(M) == expected, (n, m, name)
+
+
+def expected_set_shape(M):
+    """The free-shift shape test as it was before the kept leading indices:
+    each base compared with the unit vector at its lead, and the pair set
+    with every (j, i), j < m <= i."""
+    if M.generators or not M.families:
+        return None
+    pairs = set()
+    for f in M.families:
+        if len(f.free) != 1:
+            return None
+        lead = leading_index(f.base)
+        if any(v != (1 if c == lead else 0) for c, v in enumerate(f.base)):
+            return None
+        pairs.add((lead, next(iter(f.free))))
+    m = max(pairs)[0] + 1
+    return m if pairs == {(j, i) for j in range(m) for i in range(m, M.rank)} else None
+
+
+def test_shape_by_range_and_size_matches_the_expected_set():
+    # Random edits of free-shift presentations: dropped, duplicated, moved
+    # and re-based families, extra free coordinates, and extra generators.
+    rng = random.Random(47)
+    seen = {}
+    for _ in range(3000):
+        n = rng.randint(2, 7)
+        m = rng.randint(1, n - 1)
+        families = list(free_shift_monoid(n, m).families)
+        generators = ()
+        for _ in range(rng.choice((0, 0, 1, 2))):
+            k = rng.randrange(len(families))
+            base, free = families[k].base, families[k].free
+            lead = rng.randrange(n - 1)
+            edit = rng.randrange(6)
+            if edit == 0:
+                families.pop(k)
+            elif edit == 1:
+                families.append(families[k])
+            elif edit == 2:
+                unit = tuple([int(c == lead) for c in range(n)])
+                families[k] = ShiftFamily(unit, frozenset({rng.randrange(lead + 1, n)}))
+            elif edit == 3:
+                edited = list(base)
+                edited[rng.randrange(leading_index(base), n)] += rng.choice((1, -1, 2))
+                if tuple(edited) > (0,) * n:
+                    families[k] = ShiftFamily(tuple(edited), free)
+            elif edit == 4 and n - leading_index(base) > 2:
+                tail = range(leading_index(base) + 1, n)
+                families[k] = ShiftFamily(base, frozenset(rng.sample(tail, 2)))
+            elif edit == 5:
+                generators = (tuple([int(c == lead) for c in range(n)]),)
+            if not families:
+                break
+        M = LexMonoid(rank=n, generators=generators, families=tuple(rng.sample(families, len(families))))
+        expected = expected_set_shape(M)
+        assert dimension._free_shift_shape(M) == expected, M
+        seen[expected is None] = seen.get(expected is None, 0) + 1
+    assert min(seen.values()) >= 500, seen
 
 
 def test_full_cone_reports():

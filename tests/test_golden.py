@@ -1,6 +1,8 @@
 """The golden corpora: membership verdicts, certificates and S' gaps as
-written by tests/golden/make_membership.py, and the CLI transcript written
-by tests/golden/make_cli.py, each at the commit that added it."""
+written by tests/golden/make_membership.py, the CLI transcript written by
+tests/golden/make_cli.py, and the dimension reports, stratum witnesses and
+rank-2 and rank-3 arithmetic written by tests/golden/make_library.py, each
+at the commit that added it."""
 
 import difflib
 import time
@@ -13,10 +15,12 @@ from recip.ratfunc import RationalFunction
 from recip.semigroup import derive_sprime, ns_create
 
 from golden.make_cli import transcript
+from golden.make_library import corpus
 from golden.make_membership import gens_text, verdict_text
 
 CORPUS = Path(__file__).resolve().parent / "golden" / "membership.txt"
 CLI_TRANSCRIPT = CORPUS.with_name("cli.txt")
+LIBRARY = CORPUS.with_name("library.txt")
 
 
 def poly(text):
@@ -55,3 +59,15 @@ def test_cli_matches_the_golden_transcript():
     diff = difflib.unified_diff(expected.splitlines(True), found.splitlines(True), "cli.txt", "now", n=2)
     assert found == expected, "".join(diff)[:4000]
     assert expected.count("\n$ recip ") >= 90 and CLI_TRANSCRIPT.stat().st_size < 300_000
+
+
+def test_library_matches_the_golden_corpus():
+    expected = LIBRARY.read_text(encoding="utf-8")
+    start = time.perf_counter()
+    found = corpus()
+    assert time.perf_counter() - start < 5.0
+    diff = difflib.unified_diff(expected.splitlines(True), found.splitlines(True), "library.txt", "now", n=0)
+    assert found == expected, "".join(diff)[:4000]
+    kinds = [line.split("\t", 1)[0] for line in expected.splitlines()]
+    assert kinds.count("monoid") >= 400 and kinds.count("report") >= 80 and kinds.count("arith") >= 100
+    assert LIBRARY.stat().st_size < 300_000

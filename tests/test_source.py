@@ -204,3 +204,28 @@ def test_membership_builds_no_sigma_image_and_solve_affine_no_fraction():
     assert calls(membership, "solve_affine") and calls(linsolve, "Fraction")  # the walk sees calls
     assert calls(membership, "sigma_map") == [], calls(membership, "sigma_map")
     assert calls(solve, "Fraction") == [], calls(solve, "Fraction")
+
+
+def test_only_monoid_validation_reads_leading_indices():
+    # LexMonoid.__post_init__ reads each generator's and family base's
+    # leading index once and keeps it; every stratum reader takes the kept
+    # index, so no other code in the package calls _leading_index.
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        scopes = [(path.stem, node) for node in tree.body if isinstance(node, ast.FunctionDef)]
+        scopes += [
+            (f"{path.stem}.{cls.name}", node)
+            for cls in tree.body
+            if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+            if isinstance(node, ast.FunctionDef)
+        ]
+        found += [
+            f"{scope}.{function.name}"
+            for scope, function in scopes
+            for call in ast.walk(function)
+            if isinstance(call, ast.Call)
+            and "_leading_index" in (getattr(call.func, "id", None), getattr(call.func, "attr", None))
+        ]
+    assert set(found) == {"dimension.LexMonoid.__post_init__"}, found
