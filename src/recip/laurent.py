@@ -4,7 +4,10 @@ The exponent vectors of a ``LaurentPolynomial`` are plain int tuples.  Python
 compares tuples lexicographically (first differing coordinate decides),
 which is exactly the monomial order used everywhere in this package, so no
 wrapper type is needed.
-Coefficients are ``fractions.Fraction``; all arithmetic is exact.
+Coefficients are ``fractions.Fraction``; all arithmetic is exact.  The
+constructor adds the coefficients of a repeated exponent and drops the
+zeros; it adds Fractions only where an exponent repeats, and keeps any
+other coefficient as ``as_fraction`` returns it.
 
 Instances are immutable by convention: every operation returns a fresh
 polynomial (or the same one, when scaling by 1) and nothing mutates
@@ -109,11 +112,13 @@ class LaurentPolynomial:
                 raise ValueError(f"exponent {exponent} does not have rank {rank}")
             if not all(isinstance(e, int) for e in exponent):
                 raise ValueError(f"exponent {exponent} has non-integer coordinates")
-            value = clean.get(exponent, _ZERO) + as_fraction(coeff)
-            if value == 0:
-                clean.pop(exponent, None)
-            else:
+            value = as_fraction(coeff)
+            if exponent in clean:
+                value += clean[exponent]
+            if value:
                 clean[exponent] = value
+            else:
+                clean.pop(exponent, None)
         self.rank = rank
         self._terms = clean
 

@@ -280,7 +280,8 @@ def brute_force_witness(
        high(den)/high(num), so it is computed, not searched for, and needs
        no gcd even when r is not reduced;
     2. multisets of 2..max_terms monomial denominators in lexicographic
-       order, up to 60,000 checks, only when den(r) is a monomial c X^k.
+       order, up to 60,000 checks, only when max_terms >= 2 and den(r) is
+       a monomial c X^k.
        Such a sum is a Laurent polynomial, and a fraction in lowest terms
        is one only when its denominator is a monomial; r from the public
        constructors is in lowest terms, and this stage assumes it.  Such a
@@ -312,14 +313,14 @@ def brute_force_witness(
         }
         if all(e in members and c in pool for (e,), c in ends.items()):
             single.append((LaurentPolynomial(1, ends),))
-    # Stage 2: multisets of monomial denominators, for a monomial den(r) =
-    # c X^k only.  Their sums have terms only at exponents -m, m in S up to
-    # max_degree, so the stage runs only when r has at most max_terms terms
-    # and k - e is such an m for each term X^e of num(r).  The first 60,000
-    # multisets use only the first 60,000 monomials.
+    # Stage 2: multisets of 2..max_terms monomial denominators, for a
+    # monomial den(r) = c X^k only.  Their sums have terms only at exponents
+    # -m, m in S up to max_degree, so the stage runs only when r has at most
+    # max_terms terms and k - e is such an m for each term X^e of num(r).
+    # The first 60,000 multisets use only the first 60,000 monomials.
     combos = ()
     (k,), _ = next(r.den.terms())
-    if len(r.den) == 1 and len(r.num) <= max_terms and all(
+    if max_terms >= 2 and len(r.den) == 1 and len(r.num) <= max_terms and all(
         k - e <= max_degree and S.contains(k - e) for (e,), _ in r.num.terms()
     ):
         pairs = itertools.islice(itertools.product(members, pool), _ENUMERATION_BUDGET)

@@ -17,6 +17,10 @@ that X does not divide).  Multivariate gcd is out of scope, so a form of
 rank > 1 may keep a common factor, and its value then has more than one
 form.  The Fraction polynomials ``num`` = (p/q)*f and ``den`` = g are built
 from the form only when they are first read, and then kept.
+``normalize_reciprocal_sum`` is one fold over the integer forms of its
+denominators, with one ``_normal_form`` per added term and no intermediate
+``RationalFunction``; its result is the form that adding the reciprocals
+pair by pair gives, in every rank.
 
 Negation, ``inverse``, integer powers (``laurent.int_power``) and
 ``sigma_map`` rewrite the form and call no gcd: the units of the Laurent
@@ -302,15 +306,31 @@ def normalize_reciprocal_sum(
     """Exact value of sum(1/d_i) as a normalized rational function.
 
     The value does not depend on the order of the denominators; a zero
-    denominator is rejected.
+    denominator is rejected.  The sum is one fold over integer forms: with
+    d_i = f_i / c_i, it starts from c_1/f_1 and adds each later c/f to the
+    running p*a / (q*b) as (p*a*f + q*c*b) / (q*b*f), normalised once per
+    step, so k denominators take k - 1 normal forms (one when k = 1).  Each
+    step's pair is the pairwise sum's pair times a constant and a monomial,
+    which ``_normal_form`` takes out, so the form is the one that adding the
+    reciprocals pair by pair gives, in every rank.  The fold keeps each
+    partial sum reduced in rank 1, so the gcd sees pairs of the degree of
+    one step, not of the product of every denominator.  A partial sum of
+    zero is ``_normal_form``'s zero form, and the fold goes on from it.
     """
     if not isinstance(sum_, ReciprocalSum):
         sum_ = ReciprocalSum(tuple(sum_))
-    one = LaurentPolynomial.one(sum_.rank)
-    total = RationalFunction.zero(sum_.rank)
-    for d in sum_.denominators:
-        total = total + RationalFunction(one, d)
-    return total
+    rank = sum_.rank
+    (c, f), *rest = map(int_form, sum_.denominators)
+    e = next(iter(f))
+    one = {e - e: 1}  # the map 1, with the zero exponent of this rank
+    if not rest:
+        return RationalFunction._from_ints(_normal_form(c, 1, one, f, rank), rank)
+    p, q, a, b = c, 1, one, f
+    for c, f in rest:
+        num = int_product_sum([(p, a, f), (q * c, one, b)])
+        den = int_product_sum([(1, b, f)])
+        p, q, a, b = _normal_form(1, q, num, den, rank)
+    return RationalFunction._from_ints((p, q, a, b), rank)
 
 
 def sigma_map(r: RationalFunction) -> RationalFunction:

@@ -5,7 +5,8 @@
 The transcript pins what ``recip`` prints: stdout, stderr and the exit code
 of every subcommand in both ``--format``s, of the usage and parse errors,
 of one input past each declared limit, and of a crafted pair whose gcd the
-heuristic gives up on.  Each command runs in-process through ``cli.main``.
+heuristic gives up on, and last the commands of acceptance criterion 14
+in the default format.  Each command runs in-process through ``cli.main``.
 A block reads
 
     $ recip <arguments>
@@ -159,6 +160,23 @@ ONCE = [
 ]
 
 
+# The commands of acceptance criterion 14, in the default format.
+DEFAULT_FORMAT = [
+    ("sprime", *GENS),
+    ("semigroup", *GENS),
+    ("member", *GENS, "--expr", "X^10"),
+    ("member", *GENS, "--expr", "X^5"),
+    ("recip-member", *GENS, "--expr", "1/(X^4-1) + 1/X^7"),
+    ("valuation", "--rank", "2", "--expr", "(X^(1,0) + X^(1,2))/X^(0,1)"),
+    ("divide", "--a", "X^3", "--b", "X^2+1"),
+    ("dimension", *GENS),
+    ("thm56", "--n", "2", "--m", "1"),
+    ("kplusm", "--n", "2", "--expr", "5 + (X/(X^2+1))*Y^-1"),
+    ("egyptian", "4/5"),
+    ("oracle", *GENS, "--expr", "1/X^4 + 1/X^7", "--seed", "11"),
+]
+
+
 def argv_text(argv: tuple[str, ...]) -> str:
     shown = []
     for arg in argv:
@@ -181,7 +199,7 @@ def run(argv: tuple[str, ...], tmp: str) -> str:
 
 def transcript() -> str:
     """The whole transcript, as written to tests/golden/cli.txt."""
-    cases = [(f, *argv) for argv in COMMANDS for f in ("--format=json", "--format=plain")] + ONCE
+    cases = [(f, *argv) for argv in COMMANDS for f in ("--format=json", "--format=plain")] + ONCE + DEFAULT_FORMAT
     with tempfile.TemporaryDirectory() as tmp:
         for name, content in FILES.items():
             Path(tmp, name).write_text(json.dumps(content), encoding="utf-8")

@@ -9,6 +9,7 @@ and rank-3 rational-function arithmetic.  Each line is tab-separated:
     monoid  <monoid JSON>  <report JSON>  <witness of S_1> ... <witness of S_rank>
     report  <monoid JSON>  <report JSON>
     arith   <rank>  <a>  <b>  <a + b>  <a * b>  <a / b>  <a ** k>  <k>
+    sum     <rank>  <value>  <p>/<q>  <f>  <g>  <d_1>  ...  <d_k>
 
 A witness is written as its comma-separated coordinates, or ``-`` for an
 empty stratum.  ``monoid`` lines are seeded monoids of rank 1 to 4 with 0
@@ -18,6 +19,15 @@ free-shift near misses for n <= 7: the families shuffled, one family
 duplicated, one base doubled (a non-unit base) and one extra unit family;
 their shuffled family order makes the witness search costly, so only the
 report is kept.
+
+``sum`` lines hold seeded reciprocal sums 1/d_1 + ... + 1/d_k of rank 1 to
+3 with one to eight denominators: the ``str`` of the value of
+``normalize_reciprocal_sum`` and its integer form (p, q, f, g), each map
+written as space-separated ``exponent:coefficient`` terms in ascending
+order, an exponent of rank > 1 as comma-separated coordinates.  The
+denominators have negative exponents and Fraction coefficients; some share
+a factor, and some repeat an earlier one or its negative, so that a sum can
+reach zero part-way.
 """
 
 from __future__ import annotations
@@ -41,7 +51,7 @@ from recip.dimension import (  # noqa: E402
     si_witness,
 )
 from recip.laurent import LaurentPolynomial  # noqa: E402
-from recip.ratfunc import RationalFunction  # noqa: E402
+from recip.ratfunc import RationalFunction, normalize_reciprocal_sum  # noqa: E402
 
 COEFFS = [Fraction(c) for c in (-3, -2, -1, 1, 2, 3)] + [Fraction(1, 2), Fraction(-1, 2)]
 
@@ -140,6 +150,53 @@ def arith_line(rng: random.Random, rank: int) -> str:
     return "\t".join(["arith", str(rank)] + ["-" if v is None else str(v) for v in values] + [str(k)])
 
 
+def small_poly(rng: random.Random, rank: int, max_terms: int) -> LaurentPolynomial:
+    """A polynomial with 1 to max_terms terms (fewer when an exponent
+    repeats), exponents in [-3, 3]; the coefficients are nonzero."""
+    terms = {
+        tuple(rng.randint(-3, 3) for _ in range(rank)): rng.choice(COEFFS)
+        for _ in range(rng.randint(1, max_terms))
+    }
+    return LaurentPolynomial(rank, terms)
+
+
+def seeded_denominators(rng: random.Random, rank: int) -> list[LaurentPolynomial]:
+    """One to eight nonzero denominators of the given rank.  With some
+    probability they share a factor, repeat an earlier denominator, or go on
+    with the negatives of all the denominators so far, so that the sum
+    reaches zero part-way.  Above rank 1 no gcd is divided out, so there
+    the product of the term counts is kept near 24, to keep the forms
+    small."""
+    count = rng.randint(1, 8)
+    shared = small_poly(rng, rank, 2) if rng.random() < 0.3 else None
+    budget = 24 if rank > 1 else 3**8
+    denominators: list[LaurentPolynomial] = []
+    while len(denominators) < count:
+        roll = rng.random()
+        if denominators and roll < 0.15:
+            new = [rng.choice(denominators)]
+        elif denominators and roll < 0.3 and 2 * len(denominators) <= count:
+            new = rng.sample([-d for d in denominators], len(denominators))
+        else:
+            d = small_poly(rng, rank, 3 if budget >= 3 else 1)
+            new = [d * shared if shared is not None and rng.random() < 0.7 else d]
+        for d in new:
+            budget //= len(d)
+        denominators += new
+    return denominators
+
+
+def int_map_text(f: dict) -> str:
+    return " ".join(f"{e if type(e) is int else ','.join(map(str, e))}:{c}" for e, c in sorted(f.items()))
+
+
+def sum_line(rank: int, denominators: list[LaurentPolynomial]) -> str:
+    value = normalize_reciprocal_sum(denominators)
+    p, q, f, g = value._ints
+    fields = [str(value), f"{p}/{q}", int_map_text(f), int_map_text(g)] + [str(d) for d in denominators]
+    return "\t".join(["sum", str(rank)] + fields)
+
+
 def corpus() -> str:
     lines = [monoid_line(M) for M in seeded_monoids(24, 400)]
     lines += [monoid_line(free_shift_monoid(n, m)) for n in range(2, 8) for m in range(1, n)]
@@ -148,6 +205,9 @@ def corpus() -> str:
     lines += [report_line(M) for n in range(2, 8) for m in range(1, n) for M in near_misses(rng, n, m)]
     rng = random.Random(26)
     lines += [arith_line(rng, rank) for rank in (2, 3) for _ in range(60)]
+    rng = random.Random(27)
+    counts = {1: 60, 2: 30, 3: 30}
+    lines += [sum_line(rank, seeded_denominators(rng, rank)) for rank, count in counts.items() for _ in range(count)]
     return "".join(line + "\n" for line in lines)
 
 

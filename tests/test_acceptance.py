@@ -5,16 +5,14 @@ lines.  Golden values are frozen from independent brute-force oracles;
 randomized criteria run at their stated trial counts and time limits.
 """
 
-import io
 import json
 import math
 import random
 import time
-from contextlib import redirect_stdout
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
-from recip.cli import main as cli_main
 from recip.dimension import (
     dimension_report,
     free_shift_monoid,
@@ -49,9 +47,12 @@ from recip.valuation import (
 )
 
 from conftest import random_full_cone_poly, random_nonzero_poly, random_ratfunc
+from golden.make_cli import argv_text
+from golden.make_cli import run as run_cli
 from test_semigroup import representable_table
 
 S479 = ns_create([4, 7, 9])
+CLI_TRANSCRIPT = Path(__file__).resolve().parent / "golden" / "cli.txt"
 
 
 def report(number, ok, detail):
@@ -292,6 +293,9 @@ def test_criterion_13_egyptian_exhaustive_and_reciprocals():
 
 
 def test_criterion_14_cli_transcripts_byte_identical():
+    # Each command's stdout, stderr and exit code must equal its block in
+    # the stored transcript tests/golden/cli.txt, which lists these commands
+    # last, in the default format.
     commands = [
         ["sprime", "--gens", "4,7,9"],
         ["semigroup", "--gens", "4,7,9"],
@@ -306,15 +310,14 @@ def test_criterion_14_cli_transcripts_byte_identical():
         ["egyptian", "4/5"],
         ["oracle", "--gens", "4,7,9", "--expr", "1/X^4 + 1/X^7", "--seed", "11"],
     ]
-    transcripts = []
-    for _ in range(2):
-        buffer = io.StringIO()
-        with redirect_stdout(buffer):
-            for argv in commands:
-                code = cli_main(argv)
-                assert code == 0
-        transcripts.append(buffer.getvalue().encode())
-        for line in transcripts[-1].decode().splitlines():
-            json.loads(line)  # every line re-parses under the schema
-    ok = transcripts[0] == transcripts[1]
-    report(14, ok, f"two runs, {len(transcripts[0])} bytes each, identical = {ok}")
+    transcript = CLI_TRANSCRIPT.read_text(encoding="utf-8")
+    stored = {block.split("\n", 1)[0]: block + "\n\n" for block in transcript.split("\n\n")}
+    expected = [stored.get(f"$ {argv_text(argv)}") for argv in commands]
+    found = [run_cli(argv, "") for argv in commands]
+    for block in found:
+        assert block.endswith("\nexit 0\n\n") and "\n2> " not in block, block
+        for line in block.splitlines()[1:-2]:
+            json.loads(line.removeprefix("1> "))  # every line re-parses under the schema
+    ok = found == expected
+    size = sum(map(len, found))
+    report(14, ok, f"{len(commands)} commands, {size} bytes, identical to tests/golden/cli.txt = {ok}")

@@ -1,8 +1,8 @@
 """The golden corpora: membership verdicts, certificates and S' gaps as
 written by tests/golden/make_membership.py, the CLI transcript written by
 tests/golden/make_cli.py, and the dimension reports, stratum witnesses and
-rank-2 and rank-3 arithmetic written by tests/golden/make_library.py, each
-at the commit that added it."""
+rank-2 and rank-3 arithmetic and seeded reciprocal sums written by
+tests/golden/make_library.py, each at the commit that added it."""
 
 import difflib
 import time
@@ -70,4 +70,5 @@ def test_library_matches_the_golden_corpus():
     assert found == expected, "".join(diff)[:4000]
     kinds = [line.split("\t", 1)[0] for line in expected.splitlines()]
     assert kinds.count("monoid") >= 400 and kinds.count("report") >= 80 and kinds.count("arith") >= 100
+    assert kinds.count("sum") >= 100
     assert LIBRARY.stat().st_size < 300_000

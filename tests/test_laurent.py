@@ -50,6 +50,75 @@ def test_rank_validation():
         LaurentPolynomial(0, {})
 
 
+def fraction_add_terms(rank, terms=()):
+    """The terms LaurentPolynomial(rank, terms) held when its constructor
+    added every coefficient to a Fraction zero, new exponent or not."""
+    if not isinstance(rank, int) or rank < 1:
+        raise ValueError("rank must be a positive integer")
+    items = terms.items() if isinstance(terms, dict) else terms
+    clean = {}
+    for exponent, coeff in items:
+        exponent = tuple(exponent)
+        if len(exponent) != rank:
+            raise ValueError(f"exponent {exponent} does not have rank {rank}")
+        if not all(isinstance(e, int) for e in exponent):
+            raise ValueError(f"exponent {exponent} has non-integer coordinates")
+        value = clean.get(exponent, Fraction(0)) + laurent.as_fraction(coeff)
+        if value == 0:
+            clean.pop(exponent, None)
+        else:
+            clean[exponent] = value
+    return clean
+
+
+def outcome(build, *args):
+    """(terms as an ordered item list with value types, None), or (None,
+    (exception type, message))."""
+    try:
+        terms = build(*args)
+    except Exception as exc:  # noqa: BLE001 - compared with the reference
+        return None, (type(exc), str(exc))
+    return [(e, c, type(c)) for e, c in terms.items()], None
+
+
+def test_constructor_matches_the_fraction_add_reference():
+    # Seeded term lists with repeated and cancelling exponents, int, bool
+    # and Fraction coefficients, and a few wrong ranks, non-int coordinates,
+    # inexact coefficients and bad ranks: the same terms in the same order,
+    # or the same exception and message.
+    rng = random.Random(271)
+    coeffs = [0, 1, -1, 2, -3, True, False, Fraction(1, 2), Fraction(-1, 2), Fraction(3, 4), Fraction(0)]
+    kinds = {"repeat": 0, "cancel": 0, "error": 0, "empty": 0}
+    for _ in range(3000):
+        rank = rng.choice((1, 1, 2, 3))
+        items = []
+        for _ in range(rng.randint(0, 8)):
+            if items and rng.random() < 0.3:
+                exponent, coeff = rng.choice(items)
+                items.append((exponent, -coeff if rng.random() < 0.5 else rng.choice(coeffs)))
+            else:
+                items.append((tuple(rng.randint(-2, 2) for _ in range(rank)), rng.choice(coeffs)))
+        roll = rng.random()
+        if items and roll < 0.04:
+            items.insert(rng.randrange(len(items)), ((0,) * (rank + 1), 1))
+        elif items and roll < 0.06:
+            items.insert(rng.randrange(len(items)), ((Fraction(1, 2),) * rank, 1))
+        elif items and roll < 0.08:
+            items.insert(rng.randrange(len(items)), ((0,) * rank, 0.5))
+        elif roll < 0.09:
+            rank = rng.choice((0, -1, 1.0, "1"))
+        terms = dict(items) if rng.random() < 0.3 else items
+        expected = outcome(fraction_add_terms, rank, terms)
+        found = outcome(lambda r, t: LaurentPolynomial(r, t)._terms, rank, terms)
+        assert found == expected, (rank, terms)
+        exponents = [e for e, _ in (terms.items() if isinstance(terms, dict) else terms)]
+        kinds["repeat"] += len(set(exponents)) < len(exponents)
+        kinds["cancel"] += expected[0] is not None and len(expected[0]) < len(set(exponents))
+        kinds["error"] += expected[1] is not None
+        kinds["empty"] += expected[0] == []
+    assert min(kinds.values()) >= 100, kinds
+
+
 def test_terms_iterate_in_ascending_lex_order():
     p = LaurentPolynomial(2, {(1, 0): 1, (0, 5): 2, (1, -3): 3})
     assert [e for e, _ in p.terms()] == [(0, 5), (1, -3), (1, 0)]

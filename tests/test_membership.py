@@ -601,20 +601,49 @@ def test_single_denominator_of_an_unreduced_fraction():
     assert 20 <= found <= 130, found
 
 
-def test_enumeration_builds_at_most_its_budget_of_monomials():
+def test_enumeration_builds_at_most_its_budget_of_monomials(monkeypatch):
     # The first 60,000 multisets use only the first 60,000 monomials, so a
     # long pool at the degree limit (a million member-coefficient pairs)
     # builds no more of them.  r = 1/(41 X^4) passes the stage-2 screen (4 is
-    # in S), and 41 is outside the pool, so there is no witness.
+    # in S), and 41 is outside the pool, so there is no witness.  The checks
+    # are counted, not run: at about 45 us each they would take most of the
+    # time, and this test bounds the enumeration.
     pool = range(1, 41)
+    sizes = []
+
+    def count(denominators, r):
+        sizes.append(len(denominators))
+        return False
+
+    monkeypatch.setattr(membership, "_sums_to", count)
+    r = RF("1/(41*X^4)")
+    start = time.perf_counter()
+    assert brute_force_witness(r, S479, 2, MAX_DEGREE, pool, seed=0, random_trials=0) is None
+    elapsed = time.perf_counter() - start
     tracemalloc.start()
     try:
-        witness = brute_force_witness(RF("1/(41*X^4)"), S479, 1, MAX_DEGREE, pool, seed=0, random_trials=0)
+        witness = brute_force_witness(r, S479, 2, MAX_DEGREE, pool, seed=0, random_trials=0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert witness is None
+    assert sizes == [2] * 120_000
+    assert elapsed < 3.0, elapsed
     assert peak < 64 * 2**20, peak
+
+
+def test_one_term_search_builds_no_monomials():
+    # With max_terms = 1 stage 2 tries no multiset, so it builds none of its
+    # 60,000 monomials either (a 23.9 MB peak when it did; the members up to
+    # MAX_DEGREE take about 1.2 MB).
+    tracemalloc.start()
+    try:
+        witness = brute_force_witness(RF("1/(41*X^4)"), S479, 1, MAX_DEGREE, range(1, 41), seed=0, random_trials=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert witness is None
+    assert peak < 4 * 2**20, peak
 
 
 def test_witness_search_limits(monkeypatch):

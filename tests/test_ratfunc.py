@@ -33,6 +33,7 @@ from recip.ratfunc import (
 from recip.semigroup import ns_create
 
 from conftest import COEFFS, random_nonzero_poly, random_poly, random_ratfunc
+from golden.make_library import seeded_denominators
 
 
 def RF(text, rank=1):
@@ -130,6 +131,87 @@ def test_normalization_is_permutation_invariant():
         shuffled = denominators[:]
         rng.shuffle(shuffled)
         assert normalize_reciprocal_sum(shuffled) == value
+
+
+def pairwise_reciprocal_sum(denominators):
+    """normalize_reciprocal_sum as it was before the integer fold: the zero
+    fraction plus RationalFunction(1, d) for each denominator d in turn."""
+    one = LaurentPolynomial.one(denominators[0].rank)
+    total = RationalFunction.zero(one.rank)
+    for d in denominators:
+        total = total + RationalFunction(one, d)
+    return total
+
+
+def test_reciprocal_fold_matches_the_pairwise_sum_in_every_rank():
+    # Sums from the library corpus's generator, 1 to 8 denominators with
+    # negative exponents, Fraction coefficients, shared factors, repeats and
+    # sums that reach zero part-way: the same integer form as the pairwise sum.
+    rng = random.Random(281)
+    seen = {"zero part-way": 0, "zero": 0, "repeated": 0}
+    for rank, count in ((1, 600), (2, 300), (3, 300)):
+        for _ in range(count):
+            denominators = seeded_denominators(rng, rank)
+            value, expected = normalize_reciprocal_sum(denominators), pairwise_reciprocal_sum(denominators)
+            assert value.rank == rank and value._ints == expected._ints, denominators
+            seen["zero"] += value.is_zero()
+            seen["zero part-way"] += any(
+                pairwise_reciprocal_sum(denominators[:i]).is_zero() for i in range(2, len(denominators))
+            )
+            seen["repeated"] += len(denominators) > len({str(d) for d in denominators})
+    assert min(seen.values()) >= 40, seen
+
+
+def test_reciprocal_fold_takes_one_normal_form_per_added_term(monkeypatch):
+    # k denominators take k - 1 normal forms (one when k = 1), and build no
+    # RationalFunction but the result.
+    calls = []
+    normal_form = ratfunc._normal_form
+
+    def counting(*args):
+        calls.append(args)
+        return normal_form(*args)
+
+    def forbidden(*args):
+        raise AssertionError("a RationalFunction built by the constructor")
+
+    monkeypatch.setattr(ratfunc, "_normal_form", counting)
+    monkeypatch.setattr(RationalFunction, "__init__", forbidden)
+    rng = random.Random(283)
+    for rank in (1, 2, 3):
+        for k in range(1, 9):
+            denominators = [random_nonzero_poly(rng, rank, max_terms=2, span=2) for _ in range(k)]
+            calls.clear()
+            normalize_reciprocal_sum(denominators)
+            assert len(calls) == max(k - 1, 1), (rank, k)
+
+
+def gcd_input_degrees(monkeypatch, add_up, denominators):
+    """The largest input degree of each ratfunc.int_gcd call while add_up
+    sums the reciprocals of the denominators."""
+    degrees = []
+    gcd = ratfunc.int_gcd
+
+    def spy(f, g):
+        degrees.append(max(max(f), max(g)))
+        return gcd(f, g)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ratfunc, "int_gcd", spy)
+        add_up(denominators)
+    return degrees
+
+
+def test_reciprocal_fold_keeps_the_gcd_inputs_of_the_pairwise_sum(monkeypatch):
+    # Each partial sum stays reduced, so the gcd sees pairs of one step's
+    # degree: a product of all the denominators would hand it degree 210
+    # on the first sum.  Call counts and degrees are deterministic.
+    x_plus_1 = parse_poly("X + 1")
+    powers = [x_plus_1**i for i in range(1, 21)]
+    for denominators, calls, degree in ((powers, 19, 39), ([x_plus_1] * 30, 29, 2)):
+        found = gcd_input_degrees(monkeypatch, normalize_reciprocal_sum, denominators)
+        expected = gcd_input_degrees(monkeypatch, pairwise_reciprocal_sum, denominators)
+        assert (len(found), max(found)) == (len(expected), max(expected)) == (calls, degree)
 
 
 # -- sigma -------------------------------------------------------------------

@@ -7,9 +7,17 @@ two run back to back, BEFORE first on odd seeds and AFTER first on even
 ones.  Before every run the checkout's ``src/recip/__pycache__`` is deleted
 and the run writes no bytecode, because a warm cache lowers ``setup_s``.
 Each run prints its operation count and every end-to-end metric of
-BENCHMARK.json; at the end each metric gets both sides' median and
-quartiles, the ratio AFTER/BEFORE of the medians and the pairs AFTER won.
-The script writes no file.
+BENCHMARK.json, with the number of set-ups (``len(setup_s_runs)`` in the
+run's metadata line) beside ``setup_s``; at the end each metric gets both
+sides' median and quartiles, the ratio AFTER/BEFORE of the medians and the
+pairs AFTER won.  The script writes no file.
+
+``setup_s`` is the median of the set-ups that run before the timed phase,
+so it does not depend on ``--seconds``: a short run measures it as well as
+a full one.  The number of set-ups does depend on the library: the run
+repeats the set-up while the set-ups so far took under the benchmark's
+set-up budget, so a faster set-up may run more of them, and keeps one
+more imported library in memory.
 """
 
 from __future__ import annotations
@@ -29,13 +37,15 @@ def seed_range(text: str) -> list[int]:
     return list(range(int(low), int(high or low) + 1))
 
 
-def run(root: Path, workload: str, seed: int, seconds: float) -> dict:
+def run(root: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
+    """The result line and the metadata of one run of bench/run.py."""
     shutil.rmtree(root / "src" / "recip" / "__pycache__", ignore_errors=True)
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
     command = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
                "--seconds", str(seconds), "--trace", "0"]
     result = subprocess.run(command, cwd=root, env=env, capture_output=True, text=True, check=True)
-    return json.loads(result.stdout.splitlines()[-1])
+    *_, meta, line = result.stdout.splitlines()
+    return json.loads(line), json.loads(meta)["meta"]
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -60,9 +70,14 @@ def main(argv: list[str]) -> None:
     for seed in args.seeds:
         order = ("before", "after") if seed % 2 else ("after", "before")
         for side in order:
-            line = run(sides[side], args.workload, seed, args.seconds)
+            line, meta = run(sides[side], args.workload, seed, args.seconds)
             results[side].append(line)
-            values = " ".join(f"{m['name']}={line['metrics'][m['name']]['value']:.6g}" for m in metrics)
+            fields = []
+            for m in metrics:
+                fields.append(f"{m['name']}={line['metrics'][m['name']]['value']:.6g}")
+                if m["name"] == "setup_s":
+                    fields.append(f"setup_reps={len(meta['setup_s_runs'])}")
+            values = " ".join(fields)
             print(f"{args.workload} seed={seed} {side:<6} ops={line['attempted']} failed={line['failed']} {values}",
                   flush=True)
     print(f"{'metric':<14} {'before q1/median/q3':>34} {'after q1/median/q3':>34} {'ratio':>7}  won")
