@@ -26,12 +26,14 @@ decision reads only the terms of f and g at degree <= F'.  Only the
 a sparse ``{column: coefficient}`` row of ints; ``solve_affine`` eliminates
 over Z and hands back the nonzero h_k as integer numerators over one
 common denominator, and the coefficients of f*h at the gaps are then
-checked on those ints.  Only a member's certificate is turned into
-Fractions.  For a member, the rows of g and the full system have one
-solution set, so one row space and one set of pivot columns, and the
-certificate is that of the full system.  The series itself is never
-computed: its coefficients have g_0^(k+1) in their denominators, log2|g_0|
-more bits per degree.
+checked on those ints.  When g has no term at a gap of S', no row is
+built and h = 1: every right-hand side is then 0 and stays 0 through the
+elimination, so ``solve_affine`` would return h = 1 as well.  Only a
+member's certificate is turned into Fractions.  For a member, the rows of
+g and the full system have one solution set, so one row space and one set
+of pivot columns, and the certificate is that of the full system.  The
+series itself is never computed: its coefficients have g_0^(k+1) in their
+denominators, log2|g_0| more bits per degree.
 
 The reciprocal complement of the semigroup algebra of S is the image of this
 ring under the exponent-negation automorphism, so membership for it is
@@ -109,21 +111,29 @@ def _decide(f: dict[int, int], g: dict[int, int], sprime: NumericalSemigroup) ->
     h solves the gap rows of g alone; it is a certificate exactly when f*h
     vanishes at every gap as well, and otherwise no h is.  A sign or a
     constant factor on f or on g changes neither.
+
+    When g has no term at a gap, the rows are not built and h = 1: every
+    right-hand side is 0 and stays 0 through the elimination, so
+    solve_affine would return ({}, 1).
     """
-    # Unknowns h_1 .. h_F' in columns 0 .. F' - 1; h_0 = 1.  The row of gap j
-    # takes the terms c*X^e of g below j:
-    # sum_e c * h_(j - e) = -g_j, over 1 <= j - e.
-    gaps = sprime.gaps
-    rows = [{gap - e - 1: c for e, c in g.items() if e < gap} for gap in gaps]
-    solution = solve_affine(rows, [-g.get(gap, 0) for gap in gaps])
-    if solution is None:
-        raise ArithmeticError("h = g(0)/g mod X^(F'+1) solves the gap rows of g, but solve_affine found none")
+    bound, members = sprime.frobenius, sprime.members
+    numerators, den = {}, 1  # h = 1, unless g has a term at a gap
+    for e in g:
+        if not members >> e & 1:
+            # Unknowns h_1 .. h_F' in columns 0 .. F' - 1; h_0 = 1.  The row
+            # of gap j takes the terms c*X^e of g below j:
+            # sum_e c * h_(j - e) = -g_j, over 1 <= j - e.
+            gaps = sprime.gaps
+            rows = [{gap - e - 1: c for e, c in g.items() if e < gap} for gap in gaps]
+            solution = solve_affine(rows, [-g.get(gap, 0) for gap in gaps])
+            if solution is None:
+                raise ArithmeticError("h = g(0)/g mod X^(F'+1) solves the gap rows of g, but solve_affine found none")
+            numerators, den = solution
+            break
 
     # h clears f at every gap exactly when r is a member.  Checked on ints:
     # den * h has the integer coefficients den and numerators.
-    numerators, den = solution
     scaled = [(0, den)] + [(k + 1, n) for k, n in numerators.items()]
-    bound, members = sprime.frobenius, sprime.members
     at_gaps: dict[int, int] = {}
     for e, c in f.items():
         for k, d in scaled:

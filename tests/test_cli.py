@@ -539,6 +539,27 @@ def test_parse_errors_exit_three():
     assert code == 3
 
 
+def test_module_entry_point_exit_codes():
+    # `python -m recip` in a fresh process: an answer exits 0 with one stdout
+    # line, a usage error exits 2 and a parse error 3, each with exactly one
+    # stderr line and no traceback.
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    for argv, code in (
+        (("sprime", "--gens", "4,7,9"), 0),
+        (("egyptian", "5/4"), 2),
+        (("bogus",), 2),
+        (("member", "--gens", "4,7,9", "--expr", "X^"), 3),
+    ):
+        result = subprocess.run([sys.executable, "-m", "recip", *argv], capture_output=True, text=True, env=env)
+        assert result.returncode == code, (argv, result.stderr)
+        if code == 0:
+            assert result.stdout == '{"sprime_generators":[4,7,9,10]}\n' and result.stderr == "", argv
+        else:
+            assert result.stdout == "", argv
+            assert result.stderr.count("\n") == 1 and result.stderr.endswith("\n"), (argv, result.stderr)
+            assert "Traceback" not in result.stderr, argv
+
+
 def test_plain_format():
     code, out, _ = run_cli("--format", "plain", "sprime", "--gens", "4,7,9")
     assert code == 0

@@ -12,6 +12,7 @@ import pytest
 
 from recip import laurent, membership, ratfunc
 from recip.laurent import MAX_DEGREE, LaurentPolynomial, LimitExceeded, int_form
+from recip.linsolve import solve_affine
 from recip.membership import (
     LINEAR_SYSTEM_INFEASIBLE,
     MAX_SEARCH_SIZE,
@@ -145,7 +146,10 @@ def test_sparse_system_matches_dense_oracle():
 
 def test_decide_hands_solve_affine_a_list(monkeypatch):
     # bench/tracer.py reads len(rows) of every solve, so both entry points
-    # must pass the gap rows of g as a list, not as a generator.
+    # must pass the gap rows of g as a list, not as a generator.  Only a g
+    # with a term at a gap of S' = <4,7,9,10> (gaps 1, 2, 3, 5, 6) is
+    # solved: both sides of 1/(1 - X), and decide_membership on
+    # 1/(1 + X - 2*X^9), whose sigma side reads g = -2 below F' = 6.
     solve = membership.solve_affine
     seen = []
 
@@ -154,10 +158,129 @@ def test_decide_hands_solve_affine_a_list(monkeypatch):
         return solve(rows, rhs)
 
     monkeypatch.setattr(membership, "solve_affine", recording)
+    solves = {}
     for text in ("1/(1 - X)", "(1 + X^4)/(2 - X^7)", "X^5/(X^9 + 3)", "1/(1 + X - 2*X^9)"):
-        decide_membership(RF(text), S479)
-        in_reciprocal_complement(RF(text), S479)
-    assert len(seen) == 8 and set(seen) == {list}, seen
+        for decide in (decide_membership, in_reciprocal_complement):
+            before = len(seen)
+            decide(RF(text), S479)
+            solves[text, decide.__name__] = len(seen) - before
+    solved = [key for key, count in solves.items() if count]
+    assert solved == [
+        ("1/(1 - X)", "decide_membership"),
+        ("1/(1 - X)", "in_reciprocal_complement"),
+        ("1/(1 + X - 2*X^9)", "decide_membership"),
+    ], solves
+    assert set(solves.values()) == {0, 1} and set(seen) == {list}, (solves, seen)
+
+
+def gap_rows(g, sprime):
+    """The gap rows of g and their right-hand sides, as _decide builds them."""
+    rows = [{gap - e - 1: c for e, c in g.items() if e < gap} for gap in sprime.gaps]
+    return rows, [-g.get(gap, 0) for gap in sprime.gaps]
+
+
+def solving_decide(f, g, sprime):
+    """Reference copy of _decide without its homogeneous case: the gap rows
+    of g are always built and solved."""
+    solution = solve_affine(*gap_rows(g, sprime))
+    if solution is None:
+        raise ArithmeticError("no solution of the gap rows of g")
+    numerators, den = solution
+    scaled = [(0, den)] + [(k + 1, n) for k, n in numerators.items()]
+    at_gaps = {}
+    for e, c in f.items():
+        for k, d in scaled:
+            if not sprime.contains(e + k) and e + k <= sprime.frobenius:
+                at_gaps[e + k] = at_gaps.get(e + k, 0) + c * d
+    if any(at_gaps.values()):
+        return MembershipVerdict.not_member(LINEAR_SYSTEM_INFEASIBLE)
+    return MembershipVerdict.member(LaurentPolynomial(1, {(0,): 1, **{(k + 1,): Fraction(n, den) for k, n in numerators.items()}}))
+
+
+def test_homogeneous_decisions_match_the_solve(monkeypatch):
+    # A g with no term at a gap of S' gets h = 1 without a solve.  Every
+    # decision made through both entry points equals the reference that
+    # always solves, and every skipped system solves to ({}, 1): on sums
+    # and products of two reciprocals over <4,7,9>, on 1/(c X^s) +
+    # 1/(c1 + c2 X^t) over seeded three-generator semigroups up to
+    # <101,113,127>, and on random fractions, some with a denominator
+    # supported on S'.
+    decide = membership._decide
+    calls = []
+
+    def recording(f, g, sprime):
+        verdict = decide(f, g, sprime)
+        calls.append((f, g, sprime, verdict))
+        return verdict
+
+    monkeypatch.setattr(membership, "_decide", recording)
+    rng = random.Random(37)
+    coeffs = (1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2))
+    small = list(S479.members_up_to(12))[1:]
+
+    def denominator():
+        return LaurentPolynomial(1, {(m,): rng.choice(coeffs) for m in rng.sample(small, rng.randint(1, 3))})
+
+    cases = []
+    for _ in range(100):
+        a, b = (normalize_reciprocal_sum([denominator(), denominator()]) for _ in range(2))
+        cases += [(a + b, S479), (a * b, S479)]
+    for gens in [(11, 13, 17), (23, 29, 31), (43, 47, 53), (101, 113, 127)] + [
+        sorted(rng.sample(range(m, 2 * m), 3)) for m in (5, 8, 12, 18, 27) for _ in range(4)
+    ]:
+        if math.gcd(*gens) != 1:
+            continue
+        S = ns_create(gens)
+        members = list(S.members_up_to(2 * S.multiplicity))[1:]
+        for _ in range(6):
+            c1, c2 = rng.sample((1, 2), 2)
+            monomial = LaurentPolynomial(1, {(rng.choice(members),): rng.choice((1, -1, 2, -2))})
+            binomial = LaurentPolynomial(1, {(0,): c1 * rng.choice((1, -1)), (rng.choice(members),): c2 * rng.choice((1, -1))})
+            cases.append((normalize_reciprocal_sum([monomial, binomial]), S))
+        for _ in range(6):
+            cases.append((RationalFunction(random_poly(rng, polynomial=True, span=12), random_nonzero_poly(rng, polynomial=True, span=12)), S))
+            # A denominator supported on S', so that f alone decides.
+            den = LaurentPolynomial(1, {(0,): rng.choice((1, -2, 3)), (rng.choice(members),): rng.choice((1, -1))})
+            cases.append((RationalFunction(random_poly(rng, polynomial=True, span=12), den), S))
+    for r, S in cases:
+        decide_membership(r, S)
+        in_reciprocal_complement(r, S)
+
+    seen = {(skipped, member): 0 for skipped in (True, False) for member in (True, False)}
+    for f, g, sprime, verdict in calls:
+        assert verdict == solving_decide(f, g, sprime), (f, g, sprime.generators)
+        skipped = all(sprime.contains(e) for e in g)
+        if skipped:
+            rows, _ = gap_rows(g, sprime)
+            assert solve_affine(rows, [0] * len(rows)) == ({}, 1), (g, sprime.generators)
+        seen[skipped, verdict.is_member] += 1
+    assert min(seen.values()) >= 50, seen
+    assert seen[True, True] + seen[True, False] >= 100 and seen[False, True] + seen[False, False] >= 100, seen
+
+
+def test_a_g_without_gap_terms_makes_no_solve(monkeypatch):
+    # With a spy on solve_affine: no solve when g has no term at a gap of S',
+    # one when it has.  Over <2,9999> (S' = S, 4,999 gaps), 10^d - X^2 has
+    # its terms at 0 and 2 in S', and its gap rows were 4,999 rows of 2 terms.
+    solve = membership.solve_affine
+    solves = []
+
+    def recording(rows, rhs):
+        solves.append(len(rows))
+        return solve(rows, rhs)
+
+    monkeypatch.setattr(membership, "solve_affine", recording)
+    S = ns_create([2, 9999])
+    for text, member in (("1/(10^30-X^2)", True), ("1/(10^1000-X^2)", True), ("X/(10^30-X^2)", False)):
+        verdict = decide_membership(RF(text), S)
+        assert verdict.is_member is member and solves == [], text
+        assert not member or verdict.certificate == LaurentPolynomial.one(1)
+    for text, member in (("1/(X^4-1)", True), ("X^5/(2 + X^9)", False), ("(1 + X^4)/(2 - X^7)", True)):
+        assert decide_membership(RF(text), S479).is_member is member and solves == [], text
+    assert not decide_membership(RF("1/(1-X)"), S).is_member
+    assert solves == [4999]
+    assert in_reciprocal_complement(RF("1/(1 + X)"), S479).is_member is False
+    assert solves == [4999, 5]
 
 
 def test_certificates_match_the_fraction_solve(monkeypatch):

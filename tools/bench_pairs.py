@@ -9,8 +9,10 @@ and the run writes no bytecode, because a warm cache lowers ``setup_s``.
 Each run prints its operation count and every end-to-end metric of
 BENCHMARK.json, with the number of set-ups (``len(setup_s_runs)`` in the
 run's metadata line) beside ``setup_s``; at the end each metric gets both
-sides' median and quartiles, the ratio AFTER/BEFORE of the medians and the
-pairs AFTER won.  The script writes no file.
+sides' median and quartiles, the ratio AFTER/BEFORE of the medians, the
+smallest and the largest per-pair ratio AFTER/BEFORE (so the worst pair of
+a metric near its bound shows) and the pairs AFTER won.  The script writes
+no file.
 
 ``setup_s`` is the median of the set-ups that run before the timed phase,
 so it does not depend on ``--seconds``: a short run measures it as well as
@@ -80,7 +82,8 @@ def main(argv: list[str]) -> None:
             values = " ".join(fields)
             print(f"{args.workload} seed={seed} {side:<6} ops={line['attempted']} failed={line['failed']} {values}",
                   flush=True)
-    print(f"{'metric':<14} {'before q1/median/q3':>34} {'after q1/median/q3':>34} {'ratio':>7}  won")
+    print(f"{'metric':<14} {'before q1/median/q3':>34} {'after q1/median/q3':>34} {'ratio':>7} "
+          f"{'pair min/max':>15}  won")
     for metric in [{"name": "ops", "better": "higher"}] + metrics:
         name = metric["name"]
 
@@ -93,8 +96,9 @@ def main(argv: list[str]) -> None:
         won = sum(sign * (a - b) > 0 for a, b in zip(after, before))
         qb, qa = quartiles(before), quartiles(after)
         ratio = qa[1] / qb[1] if qb[1] else float("nan")
+        pairs = [a / b for a, b in zip(after, before) if b] or [float("nan")]
         print(f"{name:<14} {'/'.join(f'{v:.5g}' for v in qb):>34} {'/'.join(f'{v:.5g}' for v in qa):>34} "
-              f"{ratio:>7.3f}  {won}/{len(before)}")
+              f"{ratio:>7.3f} {f'{min(pairs):.3f}/{max(pairs):.3f}':>15}  {won}/{len(before)}")
 
 
 if __name__ == "__main__":
